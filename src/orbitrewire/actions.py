@@ -213,16 +213,22 @@ class FactorAction:
             v = self.charts[d].window_sum(v, lo, side)
         return v
 
-    def tile_images(self, tile: Tile, x: int) -> np.ndarray:
-        """Images t . x for all tile elements t, in canonical tile order."""
+    def tile_images(self, tile: Tile, points) -> np.ndarray:
+        """Images t . x for all tile elements t, in canonical tile order.
+
+        For a single point x this is the length-|T| vector of its levels.
+        For an array of points it is the level array of the tower over them,
+        shape (|T|, len(points)) with ``out[t, i] = t . points[i]``, built by
+        one chained ``consecutive_images`` pass per generator.
+        """
         if tile.spec != self.spec:
             raise SpecMismatch("tile from a different group spec")
-        arr = np.array([x], dtype=np.int64)
+        arr = np.atleast_1d(np.asarray(points, dtype=np.int64))
         lows = tile.dim_lows
         sides = tile.sides
         for d in range(len(sides) - 1, -1, -1):
             arr = self.charts[d].consecutive_images(arr, lows[d], sides[d])
-        return arr
+        return arr if np.ndim(points) == 0 else arr.reshape(tile.size, -1)
 
     def orbits(self) -> "OrbitDecomposition":
         if self._orbits is None:

@@ -1,7 +1,10 @@
 """Command line interface: generate configs, run, verify, and render reports.
 
-Exit codes: 0 success, 1 pipeline stage failure (stage tag printed), 2 config
-errors.
+Exit codes: 0 success; 1 pipeline stage failure (stage tag printed) or a
+report that fails verification; 2 config errors: a config or report that
+cannot be read (missing path, directory, invalid UTF-8 or JSON), fails
+validation or lacks the fields a run writes, or an eps' too fine for exact
+int64 arithmetic at the space size (EXACT_RANGE_EXCEEDED).
 """
 
 from __future__ import annotations
@@ -153,10 +156,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OrbitRewireError as exc:

@@ -23,10 +23,8 @@ Schema (all masses exact rationals):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import ConfigError
 from .groups import DEFAULT_TILE_CAP
@@ -89,8 +87,13 @@ class RunConfig:
         window = d["window"]
         if not isinstance(window, list) or len(window) != len(alpha):
             raise ConfigError("window must list element coordinates per factor")
-        window = [[[int(c) for c in coords] for coords in per_factor]
-                  for per_factor in window]
+        try:
+            window = [[[int(c) for c in coords] for coords in per_factor]
+                      for per_factor in window]
+            tile_cap = int(d.get("tile_cap", DEFAULT_TILE_CAP))
+            max_retries = int(d.get("max_retries", 3))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"window, tile_cap and max_retries take integers: {exc}") from exc
         sets = d["target_sets"]
         if not isinstance(sets, list) or not sets:
             raise ConfigError("target_sets must be a non-empty list")
@@ -99,8 +102,6 @@ class RunConfig:
             override = parse_rational(override, "eps_prime_override")
             if override <= 0:
                 raise ConfigError("eps_prime_override must be positive")
-        tile_cap = int(d.get("tile_cap", DEFAULT_TILE_CAP))
-        max_retries = int(d.get("max_retries", 3))
         if max_retries < 0:
             raise ConfigError("max_retries must be non-negative")
         ergodize = d.get("ergodize_budget")
@@ -119,17 +120,6 @@ class RunConfig:
             max_retries=max_retries,
             ergodize_budget=ergodize,
         )
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
 
     def to_dict(self) -> dict:
         out = {

@@ -99,3 +99,9 @@ class IdentityInWindow(OrbitRewireError):
 
 class ConfigError(OrbitRewireError):
     code = "CONFIG_ERROR"
+
+
+class ExactRangeExceeded(ConfigError):
+    """eps' and the space size overflow the int64 exact comparisons."""
+
+    code = "EXACT_RANGE_EXCEEDED"

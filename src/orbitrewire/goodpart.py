@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .actions import FreeProductSystem
-from .errors import InfeasibleTarget, VerificationFailed
+from .errors import ExactRangeExceeded, InfeasibleTarget, VerificationFailed
 from .space import Distribution, Labeling, exact_fraction
 
 
@@ -51,6 +51,14 @@ class GoodPartitionReport:
         return all(fb.ok(self.eps) for fb in self.per_factor)
 
 
+def _check_exact_range(eps: Fraction, n: int) -> None:
+    """Vectorized comparisons stay in int64; keep their products in range."""
+    if (eps.numerator + eps.denominator) * n * n >= 2**60:
+        raise ExactRangeExceeded(
+            f"eps'={eps} is too fine for exact int64 arithmetic at space size {n}"
+        )
+
+
 def verify_good_partition(s: FreeProductSystem, psi: Labeling, pi: Distribution,
                           eps) -> GoodPartitionReport:
     """Exact per-factor mass of orbits deviating from pi by more than 2*eps."""
@@ -58,10 +66,7 @@ def verify_good_partition(s: FreeProductSystem, psi: Labeling, pi: Distribution,
     if set(psi.alphabet) != set(pi.alphabet):
         raise ValueError("labeling and target distribution use different alphabets")
     n = s.space.n_points
-    if (eps.numerator + eps.denominator) * n * n >= 2**60:
-        raise ValueError(
-            f"eps={eps} too fine for exact int64 arithmetic at space size {n}"
-        )
+    _check_exact_range(eps, n)
     k_sym = len(psi.alphabet)
     enum, eden = eps.numerator, eps.denominator
     per_factor = []

@@ -43,7 +43,7 @@ from .errors import (
     SpecMismatch,
     VerificationFailed,
 )
-from .goodpart import good_partition
+from .goodpart import _check_exact_range, good_partition
 from .groups import DEFAULT_TILE_CAP, AbelianElement, FreeWord, Tile, box_tile
 from .rohlin import Tower, max_aligned_coverage, orbit_alignment, rohlin_avoiding
 from .space import (
@@ -96,15 +96,6 @@ class TowerPairResult:
     coverage_alpha: Fraction
     coverage_beta: Fraction
     base_size: int
-
-
-def _check_exact_range(eps: Fraction, n: int) -> None:
-    """Vectorized comparisons stay in int64; keep their products in range."""
-    if (eps.numerator + eps.denominator) * n * n >= 2**60:
-        raise ValueError(
-            f"eps'={eps} has too large a numerator/denominator for exact "
-            f"int64 arithmetic at space size {n}"
-        )
 
 
 class _GoodSetEvaluator:
@@ -396,24 +387,21 @@ class ColumnData:
         return worst
 
 
-def _name_key(name: np.ndarray) -> bytes:
-    # big-endian unsigned bytes sort exactly like the code tuples
-    return name.astype(">u2").tobytes()
-
-
 def _names_by_class(f: FactorAction, tile: Tile, base: PointSet,
-                    codes: np.ndarray) -> list[tuple[bytes, np.ndarray, list[int]]]:
-    classes: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-    for x in base.indices():
-        name = codes[f.tile_images(tile, int(x))].astype(np.int16)
-        key = _name_key(name)
-        if key in classes:
-            classes[key][1].append(int(x))
-        else:
-            classes[key] = (name, [int(x)])
-    return sorted(
-        ((k, name, pts) for k, (name, pts) in classes.items()), key=lambda kv: kv[0]
-    )
+                    codes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(name, points) per distinct tile name over the base, in name order.
+
+    Row i of the name array is the code sequence along the levels of the
+    i-th base point; big-endian unsigned byte keys sort exactly like the
+    code tuples, and points keep increasing index order within a class.
+    """
+    pts = base.indices()
+    names = np.ascontiguousarray(codes[f.tile_images(tile, pts)].T, dtype=np.int16)
+    keys = names.astype(">u2").view(np.dtype((np.void, 2 * tile.size))).ravel()
+    _, first, inverse, counts = np.unique(keys, return_index=True,
+                                          return_inverse=True, return_counts=True)
+    members = np.split(pts[np.argsort(inverse, kind="stable")], np.cumsum(counts)[:-1])
+    return list(zip(names[first], members))
 
 
 def column_partitions(tw_alpha: Tower, tw_beta: Tower, phi: Labeling,
@@ -445,13 +433,13 @@ def column_partitions(tw_alpha: Tower, tw_beta: Tower, phi: Labeling,
     ia = ib = 0
     off_a = off_b = 0
     while ia < len(cls_a) and ib < len(cls_b):
-        _, name_a, pts_a = cls_a[ia]
-        _, name_b, pts_b = cls_b[ib]
+        name_a, pts_a = cls_a[ia]
+        name_b, pts_b = cls_b[ib]
         take = min(len(pts_a) - off_a, len(pts_b) - off_b)
         cd.columns.append(
             Column(
-                q_alpha=np.array(pts_a[off_a:off_a + take], dtype=np.int64),
-                q_beta=np.array(pts_b[off_b:off_b + take], dtype=np.int64),
+                q_alpha=pts_a[off_a:off_a + take],
+                q_beta=pts_b[off_b:off_b + take],
                 name_alpha=name_a,
                 name_beta=name_b,
             )
@@ -525,6 +513,18 @@ def tile_matching(cd: ColumnData, eps_prime) -> ColumnData:
 # rewiring permutation
 # ---------------------------------------------------------------------------
 
+def _column_points(cd: ColumnData) -> np.ndarray:
+    """The q_alpha points of all columns, column after column."""
+    return np.concatenate([col.q_alpha for col in cd.columns] + [np.empty(0, np.int64)])
+
+
+def _per_point(cd: ColumnData, per_column: list[np.ndarray], dtype) -> np.ndarray:
+    """|T| x |B| array whose i-th column is the per-column entry of the
+    column holding the i-th point of ``_column_points``."""
+    rows = np.array(per_column, dtype=dtype).reshape(-1, cd.tile.size)
+    return rows[np.repeat(np.arange(len(rows)), [col.size for col in cd.columns])].T
+
+
 def build_rewiring(alpha_i: FactorAction, cd: ColumnData) -> tuple[Permutation, FactorAction]:
     """The level-shuffling automorphism S and the rewired action S a S^-1.
 
@@ -534,14 +534,12 @@ def build_rewiring(alpha_i: FactorAction, cd: ColumnData) -> tuple[Permutation, 
     point in its own factor orbit.
     """
     n = alpha_i.space.n_points
+    if any(col.sigma is None for col in cd.columns):
+        raise ValueError("tile_matching must complete the columns first")
+    levels = alpha_i.tile_images(cd.tile, _column_points(cd))
+    sigma = _per_point(cd, [col.sigma for col in cd.columns], np.int64)
     forward = np.arange(n, dtype=np.int64)
-    tile = cd.tile
-    for col in cd.columns:
-        if col.sigma is None:
-            raise ValueError("tile_matching must complete the columns first")
-        for x in col.q_alpha:
-            levels = alpha_i.tile_images(tile, int(x))
-            forward[levels] = levels[col.sigma]
+    forward[levels] = np.take_along_axis(levels, sigma, 0)
     counts = np.bincount(forward, minlength=n)
     if np.any(counts != 1):
         raise LevelOverlap("rewiring assignments collide; tower levels overlap")
@@ -591,6 +589,24 @@ class BudgetReport:
         return all(e.ok for e in self.per_element)
 
 
+def _loss_masks(n: int, tile: Tile, levels: np.ndarray, matched: np.ndarray,
+                g: AbelianElement) -> tuple[np.ndarray, np.ndarray]:
+    """The L1 and L2 point masks of one window element g.
+
+    L1 is the tower levels over T \\ gT; L2 the levels over T \\ (T_s cap gT_s)
+    of each point's column s.  ``levels`` and ``matched`` are |T| x |B|.
+    """
+    shift = tile.index_of_shift(g)
+    in_gt = shift >= 0
+    l1_mask = np.zeros(n, dtype=bool)
+    l1_mask[levels[~in_gt]] = True
+    in_gts = np.zeros_like(matched)
+    in_gts[in_gt] = matched[shift[in_gt]]
+    l2_mask = np.zeros(n, dtype=bool)
+    l2_mask[levels[~(matched & in_gts)]] = True
+    return l1_mask, l2_mask
+
+
 def discrepancy_budget(alpha_pp_i: FactorAction, beta_i: FactorAction,
                        cd: ColumnData, window: Sequence[AbelianElement],
                        sets: Sequence[PointSet], eps_prime,
@@ -607,44 +623,22 @@ def discrepancy_budget(alpha_pp_i: FactorAction, beta_i: FactorAction,
     tile = cd.tile
     n = alpha_pp_i.space.n_points
     k_sym = cd.alphabet_size
-    support = np.zeros(n, dtype=bool)
-    imgs: list[np.ndarray] = []
-    col_of: list[int] = []
-    for ci, col in enumerate(cd.columns):
-        for x in col.q_alpha:
-            img = alpha_pp_i.tile_images(tile, int(x))
-            imgs.append(img)
-            col_of.append(ci)
-            support[img] = True
-    l0_mask = ~support
+    levels = alpha_pp_i.tile_images(tile, _column_points(cd))
+    matched = _per_point(cd, [col.matched for col in cd.columns], bool)
+    l0_mask = np.ones(n, dtype=bool)
+    l0_mask[levels] = False
     l0 = Fraction(int(np.count_nonzero(l0_mask)), n)
     bound_l0 = 8 * eps
     if not l0 < bound_l0:
         raise BudgetViolated(f"tower complement mass {l0} not below {bound_l0}")
     # name-transport equivalence on matched positions: the rewired level of a
     # column sits inside the cell the target-side name promises
-    for img, ci in zip(imgs, col_of):
-        col = cd.columns[ci]
-        got = phi.codes[img].astype(np.int16)
-        if not np.array_equal(got[col.matched], col.name_beta[col.matched]):
-            raise BudgetViolated(
-                "matched level lands outside the target-side name cell"
-            )
+    promised = _per_point(cd, [col.name_beta for col in cd.columns], np.int16)
+    if np.any(phi.codes[levels[matched]] != promised[matched]):
+        raise BudgetViolated("matched level lands outside the target-side name cell")
     report = BudgetReport(cd.factor_index, [])
     for g in window:
-        shift = tile.index_of_shift(g)
-        in_gt = shift >= 0
-        l1_sel = ~in_gt  # T \ gT
-        l1_mask = np.zeros(n, dtype=bool)
-        for img in imgs:
-            l1_mask[img[l1_sel]] = True
-        l2_mask = np.zeros(n, dtype=bool)
-        for img, ci in zip(imgs, col_of):
-            col = cd.columns[ci]
-            in_gts = np.zeros(tile.size, dtype=bool)
-            in_gts[in_gt] = col.matched[shift[in_gt]]
-            sel = ~(col.matched & in_gts)  # T \ (T_s cap gT_s)
-            l2_mask[img[sel]] = True
+        l1_mask, l2_mask = _loss_masks(n, tile, levels, matched, g)
         l1 = Fraction(int(np.count_nonzero(l1_mask)), n)
         l2 = Fraction(int(np.count_nonzero(l2_mask)), n)
         base_mass = Fraction(cd.base_alpha.size, n)

@@ -169,8 +169,7 @@ def tiling_base(f: FactorAction, t: Tile, coverage_floor=None) -> PointSet:
             )
         covered = np.zeros(n, dtype=bool)
         for pts in base_points:
-            for x in pts:
-                covered[f.tile_images(t, int(x))] = True
+            covered[f.tile_images(t, pts)] = True
         sweep = np.sort(np.concatenate(greedy_orbits))
         picked = _greedy_base_points(f, t, sweep, covered)
         if picked:
@@ -194,14 +193,10 @@ def tiling_base(f: FactorAction, t: Tile, coverage_floor=None) -> PointSet:
 
 def tower_support(f: FactorAction, t: Tile, base: PointSet) -> tuple[PointSet, bool]:
     """Union of all levels {t . base} and whether they are pairwise disjoint."""
+    levels = f.tile_images(t, base.indices())
     mask = np.zeros(f.space.n_points, dtype=bool)
-    disjoint = True
-    for x in base.indices():
-        idx = f.tile_images(t, int(x))
-        if np.unique(idx).size != idx.size or mask[idx].any():
-            disjoint = False
-        mask[idx] = True
-    return PointSet(f.space, mask), disjoint
+    mask[levels] = True
+    return PointSet(f.space, mask), int(np.count_nonzero(mask)) == levels.size
 
 
 @dataclass
@@ -211,10 +206,6 @@ class Tower:
     tile: Tile
     base: PointSet
     factor_index: int | None = None
-
-    def level(self, f: FactorAction, tile_index: int) -> PointSet:
-        g = self.tile.element_at(tile_index)
-        return f.element_image_set(g, self.base)
 
     def to_dict(self) -> dict:
         return {
@@ -258,16 +249,14 @@ def rohlin_avoiding(f: FactorAction, t: Tile, eps, avoid: PointSet,
         )
     floor = 1 - eps / 2
     w = tiling_base(f, t, coverage_floor=floor)
-    support, _ = tower_support(f, t, w)
-    if measure(support) <= floor:
+    # tiling_base certified the levels of W disjoint, so they cover |T||W|
+    coverage = Fraction(t.size * w.size, f.space.n_points)
+    if coverage <= floor:
         raise CoverageShortfall(
-            f"tiling base coverage {measure(support)} not strictly above {floor}"
+            f"tiling base coverage {coverage} not strictly above {floor}"
         )
     # per tile element, how much its copy of W meets the avoidance set
-    hits = np.zeros(t.size, dtype=np.int64)
-    avoid_mask = avoid.mask.astype(np.int64)
-    for x in w.indices():
-        hits += avoid_mask[f.tile_images(t, int(x))]
+    hits = np.count_nonzero(avoid.mask[f.tile_images(t, w.indices())], axis=1)
     t0_index = int(np.argmin(hits))
     t0 = t.element_at(t0_index)
     shifted = f.element_image_set(t0, w)

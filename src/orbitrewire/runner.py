@@ -27,7 +27,7 @@ from .actions import (
     freeness_defect,
     weak_discrepancy,
 )
-from .config import RunConfig, rational_to_json
+from .config import RunConfig, parse_rational, rational_to_json
 from .errors import ConfigError, VerificationFailed
 from .generate import default_window, generate_system, make_target_set
 from .groups import FreeWord
@@ -60,8 +60,9 @@ def _window_elements(system: FreeProductSystem, window: list[list[list[int]]]):
     return out
 
 
-def execute(config: RunConfig) -> tuple[PipelineResult, dict]:
-    """Run the pipeline for a config; returns the result and the report dict."""
+def _build_systems(config: RunConfig):
+    """The space and the alpha and beta systems of a config; beta's
+    non-transitive factors are ergodized when the config sets a budget."""
     space = FiniteSpace(config.space_size)
     alpha = generate_system(space, config.alpha)
     beta = generate_system(space, config.beta)
@@ -72,6 +73,12 @@ def execute(config: RunConfig) -> tuple[PipelineResult, dict]:
                 for f in beta.factors
             )
         )
+    return space, alpha, beta
+
+
+def execute(config: RunConfig) -> tuple[PipelineResult, dict]:
+    """Run the pipeline for a config; returns the result and the report dict."""
+    space, alpha, beta = _build_systems(config)
     window = _window_elements(alpha, config.window)
     sets = [make_target_set(space, d) for d in config.target_sets]
     freeness = [
@@ -167,27 +174,31 @@ def build_report(config: RunConfig, result: PipelineResult,
     }
 
 
+def _field(d, key: str, kind: type):
+    """d[key] when d is a dict holding a ``kind`` there; ConfigError otherwise."""
+    value = d.get(key) if isinstance(d, dict) else None
+    if not isinstance(value, kind):
+        raise ConfigError(f"report field {key!r} is missing or not a {kind.__name__}")
+    return value
+
+
 def _systems_from_report(report: dict):
-    config = RunConfig.from_dict(report["config"])
-    space = FiniteSpace(config.space_size)
-    alpha = generate_system(space, config.alpha)
-    beta = generate_system(space, config.beta)
-    if config.ergodize_budget is not None:
-        beta = FreeProductSystem(
-            tuple(
-                f if f.orbits().is_transitive else make_factor_ergodic(f, config.ergodize_budget)
-                for f in beta.factors
-            )
-        )
-    wit = report["witness"]
-    gamma_factors = []
-    for i, gen_arrays in enumerate(wit["gamma_generators"]):
-        spec = alpha.factors[i].spec
-        gens = tuple(Permutation(space, np.asarray(a, dtype=np.int64)) for a in gen_arrays)
-        gamma_factors.append(FactorAction(spec, space, gens))
-    gamma = FreeProductSystem(tuple(gamma_factors))
-    r_perm = Permutation(space, np.asarray(wit["conjugator"], dtype=np.int64))
-    sets = [PointSet.from_indices(space, idx) for idx in wit["target_sets"]]
+    config = RunConfig.from_dict(_field(report, "config", dict))
+    space, alpha, beta = _build_systems(config)
+    wit = _field(report, "witness", dict)
+    generators = _field(wit, "gamma_generators", list)
+    if len(generators) != alpha.k:
+        raise ConfigError(f"report has {len(generators)} gamma factors, its config {alpha.k}")
+    try:
+        gamma = FreeProductSystem(tuple(
+            FactorAction(f.spec, space,
+                         tuple(Permutation(space, np.asarray(a, dtype=np.int64)) for a in gens))
+            for f, gens in zip(alpha.factors, generators)
+        ))
+        r_perm = Permutation(space, np.asarray(_field(wit, "conjugator", list), dtype=np.int64))
+        sets = [PointSet.from_indices(space, idx) for idx in _field(wit, "target_sets", list)]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"report witness is malformed: {exc}") from exc
     window = _window_elements(alpha, config.window)
     words = [FreeWord.letter(i, g) for i, elems in enumerate(window) for g in elems]
     return config, alpha, beta, gamma, r_perm, sets, words
@@ -195,9 +206,9 @@ def _systems_from_report(report: dict):
 
 def _verify_report_payload(report: dict) -> bool:
     config, alpha, beta, gamma, r_perm, sets, words = _systems_from_report(report)
+    reported = parse_rational(_field(_field(report, "final", dict), "weak_discrepancy", dict),
+                              "final weak_discrepancy")
     final = weak_discrepancy(gamma, beta, words, sets)
-    reported = Fraction(report["final"]["weak_discrepancy"]["num"],
-                        report["final"]["weak_discrepancy"]["den"])
     if final != reported:
         return False
     if not final < config.epsilon:
@@ -207,11 +218,15 @@ def _verify_report_payload(report: dict) -> bool:
 
 
 def verify_report_file(path: str | Path) -> bool:
-    """Re-check a serialized run: discrepancy and orbit equivalence."""
+    """Re-check a serialized run: discrepancy and orbit equivalence.
+
+    A report without the fields a run writes raises ConfigError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
-    if report.get("schema") != REPORT_SCHEMA:
-        raise ConfigError(f"unknown report schema: {report.get('schema')!r}")
+    schema = _field(report, "schema", str)
+    if schema != REPORT_SCHEMA:
+        raise ConfigError(f"unknown report schema: {schema!r}")
     return _verify_report_payload(report)
 
 

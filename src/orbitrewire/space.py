@@ -185,10 +185,6 @@ class Permutation:
     def identity(cls, space: FiniteSpace) -> "Permutation":
         return cls(space, np.arange(space.n_points, dtype=np.int64))
 
-    @classmethod
-    def from_function(cls, space: FiniteSpace, fn) -> "Permutation":
-        return cls(space, np.array([fn(x) for x in range(space.n_points)], dtype=np.int64))
-
     @property
     def inverse_array(self) -> np.ndarray:
         if self._inverse is None:
@@ -292,9 +288,6 @@ class Labeling:
     def cell(self, symbol) -> PointSet:
         return PointSet(self.space, self.codes == self._code_of[symbol])
 
-    def cell_of_code(self, code: int) -> PointSet:
-        return PointSet(self.space, self.codes == code)
-
     def cells(self) -> Iterator[tuple[object, PointSet]]:
         for i, a in enumerate(self.alphabet):
             yield a, PointSet(self.space, self.codes == i)
@@ -349,13 +342,6 @@ class Distribution:
 
     def is_point_mass(self) -> bool:
         return any(m == 1 for m in self.masses.values())
-
-    def sup_distance(self, other: "Distribution") -> Fraction:
-        symbols = set(self.alphabet) | set(other.alphabet)
-        zero = Fraction(0)
-        return max(
-            abs(self.masses.get(a, zero) - other.masses.get(a, zero)) for a in symbols
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Distribution):

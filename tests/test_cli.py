@@ -98,6 +98,8 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["run", str(bad)]) == 2
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["run", str(bad)]) == 2
     noepsilon = write_config(tmp_path, {"epsilon": "0"})
     assert main(["run", str(noepsilon)]) == 2
     nobeta = dict(BASE_CONFIG)
@@ -105,6 +107,40 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
     p = tmp_path / "nobeta.json"
     p.write_text(json.dumps(nobeta))
     assert main(["run", str(p)]) == 2
+    # ill-typed integer fields
+    for key, value in (("window", [[["x"]], [[1]]]), ("tile_cap", "abc")):
+        assert main(["run", str(write_config(tmp_path, {key: value}))]) == 2
+    # eps' too fine for exact int64 arithmetic at this space size
+    cfg = write_config(tmp_path)
+    assert main(["run", str(cfg), "--space-size", "100000",
+                 "--override-eps-prime", "1/1000000000"]) == 2
+    # a directory where a file is expected
+    assert main(["run", str(tmp_path)]) == 2
+    assert main(["verify", str(tmp_path)]) == 2
+    # a report without the fields a run writes
+    stub = tmp_path / "stub.json"
+    stub.write_text(json.dumps({"schema": "orbitrewire-report/1"}))
+    assert main(["verify", str(stub)]) == 2
+
+
+def test_verify_report_file_rejects_malformed_fields(tmp_path):
+    _, report = execute(RunConfig.from_dict(dict(BASE_CONFIG)))
+    tamperings = [
+        lambda r: r.pop("witness"),
+        lambda r: r["final"].update(weak_discrepancy="1/2"),
+        lambda r: r["witness"].update(conjugator="0 1 2"),
+        lambda r: r["witness"].update(conjugator=r["witness"]["conjugator"][:-1]),
+        lambda r: r["witness"]["gamma_generators"].pop(),
+        lambda r: r["witness"]["gamma_generators"][0].append(["a"]),
+        lambda r: r["witness"].update(target_sets=[[-1]]),
+    ]
+    for i, tamper in enumerate(tamperings):
+        bad = json.loads(json.dumps(report))
+        tamper(bad)
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ConfigError):
+            verify_report_file(path)
 
 
 def test_cli_exit_code_1_on_stage_failure(tmp_path):
