@@ -435,12 +435,6 @@ class OrbitAverages:
         oid = int(self.decomposition.orbit_id[x])
         return Fraction(int(self.counts[oid]), int(self.decomposition.sizes[oid]))
 
-    def per_orbit(self) -> list[Fraction]:
-        return [
-            Fraction(int(c), int(s))
-            for c, s in zip(self.counts, self.decomposition.sizes)
-        ]
-
 
 def weak_discrepancy(a: FreeProductSystem, b: FreeProductSystem,
                      words: Sequence[FreeWord], sets: Sequence[PointSet]) -> Fraction:

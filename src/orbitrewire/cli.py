@@ -3,8 +3,9 @@
 Exit codes: 0 success; 1 pipeline stage failure (stage tag printed) or a
 report that fails verification; 2 config errors: a config or report that
 cannot be read (missing path, directory, invalid UTF-8 or JSON), fails
-validation or lacks the fields a run writes, or an eps' too fine for exact
-int64 arithmetic at the space size (EXACT_RANGE_EXCEEDED).
+validation, has another report schema or lacks the fields a run writes, or
+an eps' too fine for exact int64 arithmetic at the space size
+(EXACT_RANGE_EXCEEDED).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from pathlib import Path
 
 from .config import RunConfig
 from .errors import ConfigError, OrbitRewireError
-from .runner import execute, render_summary, summary_csv_bytes, verify_report_file, write_report_files
+from .runner import (execute, load_report, render_summary, summary_csv_bytes,
+                     verify_report_file, write_report_files)
 
 SCENARIOS = {
     "two-rotations": {
@@ -146,8 +148,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if ok else 1
 
         if args.command == "report":
-            with open(args.report, "r", encoding="utf-8") as fh:
-                report = json.load(fh)
+            report = load_report(args.report)
             print(render_summary(report))
             if args.csv:
                 Path(args.csv).write_bytes(summary_csv_bytes(report))

@@ -44,7 +44,7 @@ from .errors import (
     VerificationFailed,
 )
 from .goodpart import _check_exact_range, good_partition
-from .groups import DEFAULT_TILE_CAP, AbelianElement, FreeWord, Tile, box_tile
+from .groups import DEFAULT_TILE_CAP, AbelianElement, FreeWord, Tile, box_tile, invariance_defect
 from .rohlin import Tower, max_aligned_coverage, orbit_alignment, rohlin_avoiding
 from .space import (
     Labeling,
@@ -216,18 +216,6 @@ def equalize_bases(tw_a: Tower, tw_b: Tower) -> tuple[Tower, Tower]:
                        tw_b.factor_index)
 
 
-def _invariance_ok(spec, side: int, g: AbelianElement, tile_size: int,
-                   eps: Fraction) -> bool:
-    overlap = 1
-    for d in range(spec.rank):
-        overlap *= max(0, side - abs(g.free[d]))
-    for c in spec.torsion_moduli:
-        overlap *= c
-    defect_num = 2 * (tile_size - overlap)
-    # defect/size < eps
-    return defect_num * eps.denominator < eps.numerator * tile_size
-
-
 def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
                window: Sequence[AbelianElement], eps_prime, *,
                tile_cap: int = DEFAULT_TILE_CAP,
@@ -301,14 +289,13 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
             break
         if size * enum <= eden:  # need |T| > 1/eps'
             continue
-        if not all(_invariance_ok(spec, side, g, size, eps) for g in window):
+        tile = box_tile(spec, (0,) * r, (side - 1,) * r, cap=tile_cap)
+        if not all(invariance_defect(tile, g) < eps for g in window):
             continue
-        sides = (side,) * r + spec.torsion_moduli
-        cov_a = max_aligned_coverage(alpha_i, sides, size)
-        cov_b = max_aligned_coverage(beta_i, sides, size)
+        cov_a = max_aligned_coverage(alpha_i, tile.sides, size)
+        cov_b = max_aligned_coverage(beta_i, tile.sides, size)
         if (cov_a <= floor_w or cov_b <= floor_w) and not small_model:
             continue
-        tile = box_tile(spec, (0,) * r, (side - 1,) * r, cap=tile_cap)
         res_a = eval_a.evaluate(tile)
         if res_a is None:
             continue
@@ -786,12 +773,18 @@ def verify_orbit_equivalence(alpha: FreeProductSystem, gamma: FreeProductSystem,
 
 @dataclass
 class OEWitness:
-    """Everything needed to re-check an orbit-equivalent approximation."""
+    """Everything needed to re-check an orbit-equivalent approximation: the
+    conjugator R and the per-factor rewirings S_i, which stay inside orbits."""
 
     conjugator: Permutation
     rewirings: tuple[Permutation, ...]
-    orbit_check: bool
-    diagnostic: str | None = None
+
+    def gamma(self, alpha: FreeProductSystem) -> FreeProductSystem:
+        """gamma_i = S_i R alpha_i R^-1 S_i^-1, one conjugation by S_i o R."""
+        return FreeProductSystem(tuple(
+            f.conjugate(s.compose(self.conjugator))
+            for f, s in zip(alpha.factors, self.rewirings, strict=True)
+        ))
 
 
 @dataclass
@@ -900,8 +893,8 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
     ``window`` gives, per factor, the group elements on which closeness is
     required (callers with general words reduce them first, see
     ``reduce_words_to_letters``).  The returned witness carries the
-    conjugator, the per-factor rewirings, and the verified orbit check; the
-    report carries every certified mass.
+    conjugator and the per-factor rewirings that gamma follows from; the
+    report carries every certified mass and the verified orbit check.
     """
     eps = exact_fraction(eps)
     if not 0 < eps < 1:
@@ -999,8 +992,7 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
         if not ok:
             raise VerificationFailed(f"orbit partitions differ: {diag}")
 
-    witness = OEWitness(conjugator=r_perm, rewirings=tuple(rewirings),
-                        orbit_check=ok, diagnostic=diag)
+    witness = OEWitness(conjugator=r_perm, rewirings=tuple(rewirings))
     report = PipelineReport(
         eps=eps,
         eps_prime=eps_prime,

@@ -6,14 +6,17 @@ certified bound.  Reports are canonical: sorted keys, exact rationals as
 num/den pairs (float renderings are annotations only), no timestamps, so the
 same config and seed produce byte-identical files.
 
-The JSON report embeds the full witness (conjugator, rewirings, and rewired
-generator arrays), and the reported final discrepancy is recomputed
-independently from those serialized arrays before the report is written.
+The JSON report embeds the witness: the conjugator R and the per-factor
+rewirings S_i.  Verification rebuilds alpha, beta and the target sets from
+the embedded config, derives gamma_i = S_i R alpha_i R^-1 S_i^-1 from the
+witness, and recomputes the final discrepancy and the orbit check; a run
+does this once before its report is written.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from fractions import Fraction
@@ -21,25 +24,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .actions import (
-    FactorAction,
-    FreeProductSystem,
-    freeness_defect,
-    weak_discrepancy,
-)
+from .actions import FreeProductSystem, freeness_defect, weak_discrepancy
 from .config import RunConfig, parse_rational, rational_to_json
 from .errors import ConfigError, VerificationFailed
 from .generate import default_window, generate_system, make_target_set
 from .groups import FreeWord
 from .rewiring import (
+    OEWitness,
     PipelineResult,
     make_factor_ergodic,
     oe_approximate,
     verify_orbit_equivalence,
 )
-from .space import FiniteSpace, Permutation, PointSet
+from .space import FiniteSpace, Permutation
 
-REPORT_SCHEMA = "orbitrewire-report/1"
+REPORT_SCHEMA = "orbitrewire-report/2"
 
 
 def _window_elements(system: FreeProductSystem, window: list[list[list[int]]]):
@@ -61,8 +60,8 @@ def _window_elements(system: FreeProductSystem, window: list[list[list[int]]]):
 
 
 def _build_systems(config: RunConfig):
-    """The space and the alpha and beta systems of a config; beta's
-    non-transitive factors are ergodized when the config sets a budget."""
+    """The space, the alpha and beta systems and the target sets of a config;
+    beta's non-transitive factors are ergodized when the config sets a budget."""
     space = FiniteSpace(config.space_size)
     alpha = generate_system(space, config.alpha)
     beta = generate_system(space, config.beta)
@@ -73,14 +72,14 @@ def _build_systems(config: RunConfig):
                 for f in beta.factors
             )
         )
-    return space, alpha, beta
+    sets = [make_target_set(space, d) for d in config.target_sets]
+    return space, alpha, beta, sets
 
 
 def execute(config: RunConfig) -> tuple[PipelineResult, dict]:
     """Run the pipeline for a config; returns the result and the report dict."""
-    space, alpha, beta = _build_systems(config)
+    _, alpha, beta, sets = _build_systems(config)
     window = _window_elements(alpha, config.window)
-    sets = [make_target_set(space, d) for d in config.target_sets]
     freeness = [
         rational_to_json(freeness_defect(f, default_window(f.spec)))
         for f in alpha.factors
@@ -96,7 +95,7 @@ def execute(config: RunConfig) -> tuple[PipelineResult, dict]:
         tile_cap=config.tile_cap,
         max_retries=config.max_retries,
     )
-    report = build_report(config, result, sets, freeness)
+    report = build_report(config, result, freeness)
     if not _verify_report_payload(report):
         raise VerificationFailed(
             "serialized witness does not reproduce the reported discrepancy"
@@ -105,7 +104,7 @@ def execute(config: RunConfig) -> tuple[PipelineResult, dict]:
 
 
 def build_report(config: RunConfig, result: PipelineResult,
-                 sets: list[PointSet], freeness: list[dict]) -> dict:
+                 freeness: list[dict]) -> dict:
     rep = result.report
     wit = result.witness
     factors = []
@@ -165,11 +164,6 @@ def build_report(config: RunConfig, result: PipelineResult,
         "witness": {
             "conjugator": [int(v) for v in wit.conjugator.forward],
             "rewirings": [[int(v) for v in s.forward] for s in wit.rewirings],
-            "gamma_generators": [
-                [[int(v) for v in p.forward] for p in f.gens]
-                for f in result.gamma.factors
-            ],
-            "target_sets": [s.to_sorted_list() for s in sets],
         },
     }
 
@@ -184,56 +178,73 @@ def _field(d, key: str, kind: type):
 
 def _systems_from_report(report: dict):
     config = RunConfig.from_dict(_field(report, "config", dict))
-    space, alpha, beta = _build_systems(config)
+    space, alpha, beta, sets = _build_systems(config)
     wit = _field(report, "witness", dict)
-    generators = _field(wit, "gamma_generators", list)
-    if len(generators) != alpha.k:
-        raise ConfigError(f"report has {len(generators)} gamma factors, its config {alpha.k}")
+    rewirings = _field(wit, "rewirings", list)
+    if len(rewirings) != alpha.k:
+        raise ConfigError(f"report has {len(rewirings)} rewirings, its config {alpha.k} factors")
+
+    def perm(a) -> Permutation:
+        return Permutation(space, np.asarray(a, dtype=np.int64))
+
     try:
-        gamma = FreeProductSystem(tuple(
-            FactorAction(f.spec, space,
-                         tuple(Permutation(space, np.asarray(a, dtype=np.int64)) for a in gens))
-            for f, gens in zip(alpha.factors, generators)
-        ))
-        r_perm = Permutation(space, np.asarray(_field(wit, "conjugator", list), dtype=np.int64))
-        sets = [PointSet.from_indices(space, idx) for idx in _field(wit, "target_sets", list)]
+        witness = OEWitness(perm(_field(wit, "conjugator", list)), tuple(map(perm, rewirings)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"report witness is malformed: {exc}") from exc
     window = _window_elements(alpha, config.window)
     words = [FreeWord.letter(i, g) for i, elems in enumerate(window) for g in elems]
-    return config, alpha, beta, gamma, r_perm, sets, words
+    return config, alpha, beta, witness, sets, words
 
 
 def _verify_report_payload(report: dict) -> bool:
-    config, alpha, beta, gamma, r_perm, sets, words = _systems_from_report(report)
+    config, alpha, beta, witness, sets, words = _systems_from_report(report)
     reported = parse_rational(_field(_field(report, "final", dict), "weak_discrepancy", dict),
                               "final weak_discrepancy")
+    gamma = witness.gamma(alpha)
     final = weak_discrepancy(gamma, beta, words, sets)
     if final != reported:
         return False
     if not final < config.epsilon:
         return False
-    ok, _ = verify_orbit_equivalence(alpha, gamma, r_perm)
+    ok, _ = verify_orbit_equivalence(alpha, gamma, witness.conjugator)
     return ok
 
 
-def verify_report_file(path: str | Path) -> bool:
-    """Re-check a serialized run: discrepancy and orbit equivalence.
-
-    A report without the fields a run writes raises ConfigError.
-    """
+def load_report(path: str | Path) -> dict:
+    """A report file of the current schema; ConfigError on any other."""
     with open(path, "r", encoding="utf-8") as fh:
         report = json.load(fh)
     schema = _field(report, "schema", str)
     if schema != REPORT_SCHEMA:
         raise ConfigError(f"unknown report schema: {schema!r}")
-    return _verify_report_payload(report)
+    return report
+
+
+def verify_report_file(path: str | Path) -> bool:
+    """Re-check a serialized run: discrepancy and orbit equivalence of the
+    gamma its witness derives.
+
+    A report without the fields a run writes raises ConfigError.
+    """
+    return _verify_report_payload(load_report(path))
 
 
 def report_json_bytes(report: dict) -> bytes:
     return json.dumps(report, sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
 
+def _reads_report(fn):
+    """fn(report), with a missing or ill-typed report field raised as ConfigError."""
+    @functools.wraps(fn)
+    def wrapper(report: dict):
+        try:
+            return fn(report)
+        except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"report field missing or ill-typed: {exc!r}") from exc
+    return wrapper
+
+
+@_reads_report
 def summary_rows(report: dict) -> list[list[str]]:
     """Flat rows (component, factor, element, set, value, bound, ok) for CSV."""
     rows = [["component", "factor", "element", "set", "value", "bound", "ok"]]
@@ -291,6 +302,7 @@ def write_report_files(report: dict, out_dir: str | Path) -> tuple[Path, Path]:
     return json_path, csv_path
 
 
+@_reads_report
 def render_summary(report: dict) -> str:
     """Short human-readable digest of a report."""
     lines = []

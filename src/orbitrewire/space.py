@@ -40,10 +40,6 @@ class FiniteSpace:
             raise ValueError(f"n_points must be a positive integer, got {n_points!r}")
         self.n_points = int(n_points)
 
-    @property
-    def atom_mass(self) -> Fraction:
-        return Fraction(1, self.n_points)
-
     def check_point(self, x: int) -> int:
         if not 0 <= x < self.n_points:
             raise ValueError(f"point {x} outside [0, {self.n_points})")
@@ -227,9 +223,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.forward, np.arange(self.space.n_points)))
 
-    def fixed_points(self) -> PointSet:
-        return PointSet(self.space, self.forward == np.arange(self.space.n_points))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Permutation)
@@ -281,9 +274,6 @@ class Labeling:
 
     def code_of(self, symbol) -> int:
         return self._code_of[symbol]
-
-    def symbol_at(self, x: int) -> object:
-        return self.alphabet[int(self.codes[x])]
 
     def cell(self, symbol) -> PointSet:
         return PointSet(self.space, self.codes == self._code_of[symbol])

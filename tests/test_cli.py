@@ -8,7 +8,7 @@ from orbitrewire.cli import main
 from orbitrewire.config import RunConfig, parse_rational
 from orbitrewire.errors import ConfigError
 from orbitrewire.generate import generate_system, make_target_set
-from orbitrewire.runner import execute, verify_report_file
+from orbitrewire.runner import execute, report_json_bytes, verify_report_file
 from orbitrewire.space import FiniteSpace
 
 
@@ -117,10 +117,13 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
     # a directory where a file is expected
     assert main(["run", str(tmp_path)]) == 2
     assert main(["verify", str(tmp_path)]) == 2
-    # a report without the fields a run writes
-    stub = tmp_path / "stub.json"
-    stub.write_text(json.dumps({"schema": "orbitrewire-report/1"}))
-    assert main(["verify", str(stub)]) == 2
+    assert main(["report", str(tmp_path)]) == 2
+    # a report of an old schema, and one without the fields a run writes
+    for schema in ("orbitrewire-report/1", "orbitrewire-report/2"):
+        stub = tmp_path / "stub.json"
+        stub.write_text(json.dumps({"schema": schema}))
+        assert main(["verify", str(stub)]) == 2
+        assert main(["report", str(stub)]) == 2
 
 
 def test_verify_report_file_rejects_malformed_fields(tmp_path):
@@ -130,9 +133,9 @@ def test_verify_report_file_rejects_malformed_fields(tmp_path):
         lambda r: r["final"].update(weak_discrepancy="1/2"),
         lambda r: r["witness"].update(conjugator="0 1 2"),
         lambda r: r["witness"].update(conjugator=r["witness"]["conjugator"][:-1]),
-        lambda r: r["witness"]["gamma_generators"].pop(),
-        lambda r: r["witness"]["gamma_generators"][0].append(["a"]),
-        lambda r: r["witness"].update(target_sets=[[-1]]),
+        lambda r: r["witness"]["rewirings"].pop(),
+        lambda r: r["witness"]["rewirings"][0].append(["a"]),
+        lambda r: r["config"]["target_sets"][0].update(modulus=0),
     ]
     for i, tamper in enumerate(tamperings):
         bad = json.loads(json.dumps(report))
@@ -141,6 +144,44 @@ def test_verify_report_file_rejects_malformed_fields(tmp_path):
         path.write_text(json.dumps(bad))
         with pytest.raises(ConfigError):
             verify_report_file(path)
+
+
+def test_verify_catches_a_tampered_rewiring(tmp_path):
+    _, report = execute(RunConfig.from_dict(dict(BASE_CONFIG)))
+    identity = list(range(BASE_CONFIG["space_size"]))
+    assert report["witness"]["rewirings"][0] != identity
+    report["witness"]["rewirings"][0] = identity
+    path = tmp_path / "report.json"
+    path.write_bytes(report_json_bytes(report))
+    assert verify_report_file(path) is False
+    assert main(["verify", str(path)]) == 1
+
+
+GRID_CONFIG = {
+    "space_size": 50 * 50,
+    "epsilon": "1/5",
+    "alpha": [{"name": "grid_shift", "dims": [50, 50], "steps": [1, 1]},
+              {"name": "rotation", "step": 3}],
+    "beta": [{"name": "grid_shift", "dims": [50, 50], "steps": [1, 3]},
+             {"name": "rotation", "step": 7}],
+    "window": [[[1, 0], [0, 1]], [[1]]],
+    "eps_prime_override": "1/20",
+}
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"alpha": [{"name": "product_cycle", "dims": [2, 1024]}, {"name": "rotation", "step": 3}]},
+    {"beta": [{"name": "rotation", "step": 2}, {"name": "rotation", "step": 7}],
+     "ergodize_budget": "1/100"},
+    GRID_CONFIG,
+], ids=["rotation", "product_cycle", "ergodize_budget", "grid_shift"])
+def test_witness_derives_the_pipeline_gamma(overrides):
+    config = RunConfig.from_dict({**BASE_CONFIG, **overrides})
+    result, _ = execute(config)
+    alpha = generate_system(FiniteSpace(config.space_size), config.alpha)
+    derived = result.witness.gamma(alpha)
+    assert [f.gens for f in derived.factors] == [f.gens for f in result.gamma.factors]
 
 
 def test_cli_exit_code_1_on_stage_failure(tmp_path):

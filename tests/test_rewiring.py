@@ -580,8 +580,8 @@ def test_stage_tag_on_pipeline_errors():
 
 
 def test_invariance_prefilter_matches_exact_defect():
+    # the screen tower_pair applies, against |T symdiff (T+g)| / |T| by brute force
     from orbitrewire import invariance_defect
-    from orbitrewire.rewiring import _invariance_ok
 
     rng = np.random.default_rng(8)
     spec2 = AbelianGroupSpec(2)
@@ -591,8 +591,10 @@ def test_invariance_prefilter_matches_exact_defect():
         g = spec2.element([int(rng.integers(-side - 1, side + 2)),
                            int(rng.integers(-side - 1, side + 2))])
         eps = Fraction(int(rng.integers(1, 9)), 17)
-        assert _invariance_ok(spec2, side, g, tile.size, eps) == \
-            (invariance_defect(tile, g) < eps)
+        elems = tile.elements()
+        brute = Fraction(len(elems ^ {t + g for t in elems}), len(elems))
+        assert invariance_defect(tile, g) == brute
+        assert (invariance_defect(tile, g) < eps) == (brute < eps)
 
 
 def test_oe_approximate_grid_factor_end_to_end():
