@@ -6,6 +6,13 @@ g^j into O(1) index arithmetic and box-window sums into circular prefix-sum
 differences, which keeps every tower/name/average computation linear in the
 space size instead of linear in |tile| * N.
 
+A chart is built in O(N log L) numpy passes, L the longest cycle: pointer
+doubling finds every point's cycle minimum and list ranking along the
+inverse gives its position.  Conjugation does not rebuild charts: r maps the
+cycles of g onto those of r g r^-1, so the conjugate's chart is the old one
+moved by r, each cycle rotated to its new minimum and the cycles re-sorted.
+Every carried chart is checked against the conjugated generator in O(N).
+
 Orbits of a factor are the joins of its generators' cycles; for a single
 generator they are the cycles themselves, otherwise minimum-label propagation
 along cycles merges them.  Ergodicity of a finite factor model means
@@ -22,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IdentityInWindow, SpaceMismatch, SpecMismatch
+from .errors import IdentityInWindow, SpaceMismatch, SpecMismatch, VerificationFailed
 from .groups import AbelianElement, AbelianGroupSpec, FreeWord, Tile
 from .space import (
     Distribution,
@@ -42,6 +49,10 @@ class CycleChart:
     minimal point and follows the permutation, and cycles appear by
     increasing minimal point.  ``pos[x]`` is the position of x inside its
     cycle, ``cycle_of[x]`` indexes ``cycle_start``/``cycle_len``.
+
+    The constructor builds the chart from a forward array by pointer
+    doubling; :meth:`conjugated` carries it to a conjugate and
+    :meth:`follows` checks a chart against a forward array.
     """
 
     __slots__ = ("n", "order", "pos", "cycle_of", "cycle_start", "cycle_len")
@@ -50,36 +61,104 @@ class CycleChart:
         n = forward.shape[0]
         if n >= 2**31:
             raise ValueError("space too large for cycle charts")
+        forward = np.asarray(forward, dtype=np.int64)
+        points = np.arange(n, dtype=np.int64)
+        # pointer doubling: after k rounds label[x] is the minimum of the
+        # 2^k points x, g x, ..., and jump = g^(2^k).  Once a round changes
+        # nothing, label is constant along every g^(2^k)-orbit, whose windows
+        # cover the whole cycle, so label is the cycle minimum.
+        label = points.copy()
+        jump = forward
+        while True:
+            new = np.minimum(label, label[jump])
+            if np.array_equal(new, label):
+                break
+            label = new
+            jump = jump[jump]
+        del jump, new
+        # list ranking along the inverse: pos[x] is the number of g^-1 steps
+        # from x back to its cycle minimum
+        head = label == points
+        pred = np.empty(n, dtype=np.int64)
+        pred[forward] = points
+        pred[head] = points[head]
+        pos = (~head).astype(np.int64)
+        while True:
+            pred2 = pred[pred]
+            if np.array_equal(pred2, pred):
+                break
+            pos += pos[pred]
+            pred = pred2
+        del pred, pred2
+        # cycles are numbered by increasing minimum
+        cycle_of = (np.cumsum(head) - 1)[label]
+        cycle_len = np.bincount(cycle_of, minlength=int(np.count_nonzero(head)))
+        self._set(n, pos, cycle_of, cycle_len.astype(np.int64, copy=False))
+
+    def _set(self, n: int, pos: np.ndarray, cycle_of: np.ndarray,
+             cycle_len: np.ndarray) -> None:
+        """Fill in ``order`` and ``cycle_start`` from per-point positions."""
+        cycle_start = np.cumsum(cycle_len) - cycle_len
         order = np.empty(n, dtype=np.int64)
-        pos = np.empty(n, dtype=np.int64)
-        cycle_of = np.empty(n, dtype=np.int64)
-        starts: list[int] = []
-        lens: list[int] = []
-        visited = np.zeros(n, dtype=bool)
-        cursor = 0
-        cyc = 0
-        for x0 in range(n):
-            if visited[x0]:
-                continue
-            starts.append(cursor)
-            x = x0
-            length = 0
-            while not visited[x]:
-                visited[x] = True
-                order[cursor] = x
-                pos[x] = length
-                cycle_of[x] = cyc
-                cursor += 1
-                length += 1
-                x = int(forward[x])
-            lens.append(length)
-            cyc += 1
+        order[cycle_start[cycle_of] + pos] = np.arange(n, dtype=np.int64)
         self.n = n
         self.order = order
         self.pos = pos
         self.cycle_of = cycle_of
-        self.cycle_start = np.array(starts, dtype=np.int64)
-        self.cycle_len = np.array(lens, dtype=np.int64)
+        self.cycle_start = cycle_start
+        self.cycle_len = cycle_len
+
+    def conjugated(self, r: Permutation) -> "CycleChart":
+        """The chart of r g r^-1, carried over from this chart of g.
+
+        r maps each cycle (x0 x1 ...) of g onto the cycle (r x0, r x1, ...)
+        of the conjugate, so ``r[order]`` lists the new cycles; each is
+        rotated to start at its minimum and the cycles are re-sorted by it.
+        No new chart is built from the conjugate's forward array.
+        """
+        moved = r.forward[self.order]
+        seg = self.cycle_of[self.order]
+        mins = np.minimum.reduceat(moved, self.cycle_start)
+        # the listing index of each cycle's new minimum, and every point's
+        # offset from it
+        at_min = np.flatnonzero(moved == mins[seg])
+        pos = np.empty(self.n, dtype=np.int64)
+        pos[moved] = (np.arange(self.n, dtype=np.int64) - at_min[seg]) % self.cycle_len[seg]
+        by_min = np.argsort(mins)
+        rank = np.empty(self.n_cycles, dtype=np.int64)
+        rank[by_min] = np.arange(self.n_cycles, dtype=np.int64)
+        cycle_of = np.empty(self.n, dtype=np.int64)
+        cycle_of[moved] = rank[seg]
+        out = CycleChart.__new__(CycleChart)
+        out._set(self.n, pos, cycle_of, self.cycle_len[by_min])
+        return out
+
+    def follows(self, forward: np.ndarray) -> bool:
+        """Whether this chart is the chart of ``forward``, checked in O(N).
+
+        Each cycle must start at its minimum and follow ``forward`` back to
+        its start, the cycles must appear by increasing minimum, and ``pos``
+        and ``cycle_of`` must index into that listing.
+        """
+        order, start, ln = self.order, self.cycle_start, self.cycle_len
+        if order.shape != (self.n,) or int(ln.sum()) != self.n or np.any(ln < 1):
+            return False
+        if not np.array_equal(start, np.cumsum(ln) - ln):
+            return False
+        heads = order[start]
+        if np.any(heads[1:] <= heads[:-1]):
+            return False
+        if not np.array_equal(np.minimum.reduceat(order, start), heads):
+            return False
+        step = np.empty_like(order)
+        step[:-1] = order[1:]
+        step[start + ln - 1] = heads
+        if not np.array_equal(forward[order], step):
+            return False
+        seg = np.repeat(np.arange(len(ln), dtype=np.int64), ln)
+        return (np.array_equal(self.cycle_of[order], seg)
+                and np.array_equal(self.pos[order],
+                                   np.arange(self.n, dtype=np.int64) - start[seg]))
 
     @property
     def n_cycles(self) -> int:
@@ -155,7 +234,11 @@ class FactorAction:
 
     def __init__(self, spec: AbelianGroupSpec, space: FiniteSpace,
                  gens: Sequence[Permutation]):
-        gens = tuple(gens)
+        self._setup(spec, space, tuple(gens), None)
+
+    def _setup(self, spec: AbelianGroupSpec, space: FiniteSpace,
+               gens: tuple[Permutation, ...], charts: tuple[CycleChart, ...] | None) -> None:
+        """Validate the generators; build their charts, or check the given ones."""
         if len(gens) != spec.num_generators:
             raise ValueError(
                 f"spec needs {spec.num_generators} generators, got {len(gens)}"
@@ -169,7 +252,12 @@ class FactorAction:
                 qp = gens[j].forward[gens[i].forward]
                 if not np.array_equal(pq, qp):
                     raise ValueError(f"generators {i} and {j} do not commute")
-        charts = tuple(CycleChart(p.forward) for p in gens)
+        if charts is None:
+            charts = tuple(CycleChart(p.forward) for p in gens)
+        else:
+            for d, (p, chart) in enumerate(zip(gens, charts)):
+                if not chart.follows(p.forward):
+                    raise VerificationFailed(f"chart of generator {d} does not follow it")
         for k, c in enumerate(spec.torsion_moduli):
             chart = charts[spec.rank + k]
             if np.any(c % chart.cycle_len != 0):
@@ -236,8 +324,15 @@ class FactorAction:
         return self._orbits
 
     def conjugate(self, r: Permutation) -> "FactorAction":
-        """The action with every generator conjugated by r."""
-        return FactorAction(self.spec, self.space, tuple(p.conjugate(r) for p in self.gens))
+        """The action with every generator conjugated by r.
+
+        The charts are carried through the conjugation instead of rebuilt,
+        and each carried chart is checked against its conjugated generator.
+        """
+        out = FactorAction.__new__(FactorAction)
+        out._setup(self.spec, self.space, tuple(p.conjugate(r) for p in self.gens),
+                   tuple(c.conjugated(r) for c in self.charts))
+        return out
 
     def __repr__(self) -> str:
         return f"FactorAction(spec={self.spec}, N={self.space.n_points})"

@@ -52,6 +52,9 @@ def orbit_alignment(f: FactorAction) -> list[OrbitAlignment]:
     od = f.orbits()
     out: list[OrbitAlignment] = []
     n_dims = len(f.charts)
+    # arr below has len(orbit) points, all in the orbit, so it is injective
+    # iff it covers the orbit; one mask serves every orbit
+    hit = np.zeros(f.space.n_points, dtype=bool)
     for orbit in od.orbits:
         x0 = int(orbit[0])
         dims = tuple(int(f.charts[d].cycle_len[f.charts[d].cycle_of[x0]]) for d in range(n_dims))
@@ -63,8 +66,10 @@ def orbit_alignment(f: FactorAction) -> list[OrbitAlignment]:
             arr = np.array([x0], dtype=np.int64)
             for d in range(n_dims - 1, -1, -1):
                 arr = f.charts[d].consecutive_images(arr, 0, dims[d])
-            if np.unique(arr).size == arr.size:
+            hit[arr] = True
+            if np.count_nonzero(hit[orbit]) == arr.size:
                 coords = arr
+            hit[arr] = False
         if coords is None:
             dims = None
         out.append(OrbitAlignment(orbit, len(orbit), dims, coords))

@@ -172,10 +172,20 @@ class Permutation:
             raise ValueError("forward array maps outside the space")
         if not np.all(counts == 1):
             raise ValueError("forward array is not a bijection")
+        self._set(space, forward)
+
+    def _set(self, space: FiniteSpace, forward: np.ndarray) -> None:
         forward.setflags(write=False)
         self.space = space
         self.forward = forward
         self._inverse: np.ndarray | None = None
+
+    @classmethod
+    def _trusted(cls, space: FiniteSpace, forward: np.ndarray) -> "Permutation":
+        """A permutation from an array that is a bijection by construction."""
+        out = cls.__new__(cls)
+        out._set(space, forward)
+        return out
 
     @classmethod
     def identity(cls, space: FiniteSpace) -> "Permutation":
@@ -208,17 +218,17 @@ class Permutation:
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(x) == self(other(x))."""
         same_space(self, other)
-        return Permutation(self.space, self.forward[other.forward])
+        return Permutation._trusted(self.space, self.forward[other.forward])
 
     def inverse(self) -> "Permutation":
-        return Permutation(self.space, self.inverse_array)
+        return Permutation._trusted(self.space, self.inverse_array)
 
     def conjugate(self, r: "Permutation") -> "Permutation":
         """r o self o r^-1."""
         same_space(self, r)
         out = np.empty_like(self.forward)
         out[r.forward] = r.forward[self.forward]
-        return Permutation(self.space, out)
+        return Permutation._trusted(self.space, out)
 
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.forward, np.arange(self.space.n_points)))

@@ -7,7 +7,6 @@ pytest's capture) and asserts the exact inequality it certifies.
 import itertools
 import json
 import random
-import sys
 import time
 from fractions import Fraction
 
@@ -27,7 +26,6 @@ from orbitrewire import (
     chain_extension,
     good_partition,
     make_factor_ergodic,
-    measure,
     oe_approximate,
     rohlin_avoiding,
     sym_diff_mass,

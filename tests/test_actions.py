@@ -10,7 +10,6 @@ from orbitrewire import (
     AbelianGroupSpec,
     FactorAction,
     FiniteSpace,
-    FreeProductSystem,
     FreeWord,
     Labeling,
     Permutation,

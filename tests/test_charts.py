@@ -1,0 +1,244 @@
+"""Differential tests: the vectorised cycle-chart build, and the chart carried
+through conjugation, against the per-point loop they replaced.
+
+``chart_loop`` is the former ``CycleChart.__init__``, kept as a test-only
+oracle.  The permutations are generated: random permutations, rotations,
+products of disjoint cycles on shuffled points, permutations with many fixed
+points, and the one-point space.  A carried chart must equal a fresh chart of
+the conjugate, and ``CycleChart.follows`` must reject a carried chart that is
+corrupted in any of its five arrays.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import Z
+
+from orbitrewire import AbelianGroupSpec, FactorAction, FiniteSpace, Permutation
+from orbitrewire.actions import CycleChart
+from orbitrewire.errors import VerificationFailed
+
+SETTINGS = settings(max_examples=150, deadline=None)
+FIELDS = ("order", "pos", "cycle_of", "cycle_start", "cycle_len")
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-point loop
+# ---------------------------------------------------------------------------
+
+def chart_loop(forward) -> dict[str, np.ndarray]:
+    n = forward.shape[0]
+    order = np.empty(n, dtype=np.int64)
+    pos = np.empty(n, dtype=np.int64)
+    cycle_of = np.empty(n, dtype=np.int64)
+    starts: list[int] = []
+    lens: list[int] = []
+    visited = np.zeros(n, dtype=bool)
+    cursor = 0
+    cyc = 0
+    for x0 in range(n):
+        if visited[x0]:
+            continue
+        starts.append(cursor)
+        x = x0
+        length = 0
+        while not visited[x]:
+            visited[x] = True
+            order[cursor] = x
+            pos[x] = length
+            cycle_of[x] = cyc
+            cursor += 1
+            length += 1
+            x = int(forward[x])
+        lens.append(length)
+        cyc += 1
+    return {"order": order, "pos": pos, "cycle_of": cycle_of,
+            "cycle_start": np.array(starts, dtype=np.int64),
+            "cycle_len": np.array(lens, dtype=np.int64)}
+
+
+def assert_same_chart(chart: CycleChart, ref: dict[str, np.ndarray]) -> None:
+    for name in FIELDS:
+        got = getattr(chart, name)
+        assert got.dtype == np.int64, name
+        np.testing.assert_array_equal(got, ref[name], err_msg=name)
+
+
+def chart_of_segments(n: int, segments: list[list[int]]) -> CycleChart:
+    """A chart listing exactly these cycles in this order, canonical or not."""
+    chart = CycleChart.__new__(CycleChart)
+    chart.n = n
+    chart.order = np.array([x for seg in segments for x in seg], dtype=np.int64)
+    chart.cycle_len = np.array([len(seg) for seg in segments], dtype=np.int64)
+    chart.cycle_start = np.cumsum(chart.cycle_len) - chart.cycle_len
+    chart.pos = np.empty(n, dtype=np.int64)
+    chart.cycle_of = np.empty(n, dtype=np.int64)
+    for c, seg in enumerate(segments):
+        chart.pos[seg] = np.arange(len(seg))
+        chart.cycle_of[seg] = c
+    return chart
+
+
+def segments(chart: CycleChart) -> list[list[int]]:
+    return [chart.order[s:s + l].tolist() for s, l in zip(chart.cycle_start, chart.cycle_len)]
+
+
+# ---------------------------------------------------------------------------
+# generated permutations
+# ---------------------------------------------------------------------------
+
+@st.composite
+def forwards(draw, min_n: int = 1) -> np.ndarray:
+    kind = draw(st.sampled_from(("random", "rotation", "cycles", "fixed")))
+    n = draw(st.integers(min_n, 120))
+    if kind == "random":
+        return np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+    if kind == "rotation":
+        return (np.arange(n, dtype=np.int64) + draw(st.integers(0, n - 1))) % n
+    points = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+    forward = np.arange(n, dtype=np.int64)
+    if kind == "cycles":
+        # a product of disjoint cycles of drawn lengths on shuffled points
+        cuts = sorted(draw(st.sets(st.integers(1, max(1, n - 1)), max_size=8)))
+        for cyc in np.split(points, [c for c in cuts if c < n]):
+            forward[cyc] = np.roll(cyc, -1)
+    else:
+        # a random permutation of a few points; every other point is fixed
+        moved = points[:draw(st.integers(0, min(n, 6)))]
+        forward[moved] = moved[np.asarray(draw(st.permutations(range(len(moved)))),
+                                          dtype=np.int64)]
+    return forward
+
+
+def perm(forward: np.ndarray) -> Permutation:
+    return Permutation(FiniteSpace(len(forward)), forward)
+
+
+def random_perm(data, n: int) -> Permutation:
+    return perm(np.asarray(data.draw(st.permutations(range(n))), dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# the build
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(forwards())
+def test_chart_matches_loop(forward):
+    chart = CycleChart(forward)
+    assert_same_chart(chart, chart_loop(forward))
+    assert chart.follows(forward)
+
+
+@pytest.mark.parametrize("kind", ["rotation", "random", "identity"])
+def test_chart_matches_loop_on_long_cycles(kind):
+    # thousands of points: many doubling and list-ranking rounds
+    n = 4999
+    rng = np.random.default_rng(7)
+    forward = {"rotation": (np.arange(n) + 1234) % n, "random": rng.permutation(n),
+               "identity": np.arange(n)}[kind].astype(np.int64)
+    chart = CycleChart(forward)
+    assert_same_chart(chart, chart_loop(forward))
+    assert chart.n_cycles == {"rotation": 1, "identity": n}.get(kind, chart.n_cycles)
+
+
+def test_chart_of_one_point():
+    assert_same_chart(CycleChart(np.zeros(1, dtype=np.int64)), chart_loop(np.zeros(1)))
+
+
+# ---------------------------------------------------------------------------
+# the carry through conjugation
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(st.data())
+def test_conjugated_matches_fresh_chart(data):
+    p = perm(data.draw(forwards()))
+    r = random_perm(data, p.space.n_points)
+    q = p.conjugate(r)
+    carried = CycleChart(p.forward).conjugated(r)
+    assert_same_chart(carried, chart_loop(q.forward))
+    assert carried.follows(q.forward)
+
+
+@SETTINGS
+@given(st.data())
+def test_factor_conjugate_carries_the_charts(data):
+    a, b = data.draw(st.integers(1, 8)), data.draw(st.integers(2, 8))
+    i, j = np.divmod(np.arange(a * b), b)
+    sp = FiniteSpace(a * b)
+    gens = (Permutation(sp, ((i + 1) % a) * b + j), Permutation(sp, i * b + (j + 1) % b))
+    spec = data.draw(st.sampled_from((AbelianGroupSpec(2), AbelianGroupSpec(1, (b,)))))
+    f = FactorAction(spec, sp, gens)
+    r = random_perm(data, sp.n_points)
+    g = f.conjugate(r)
+    for d, p in enumerate(g.gens):
+        assert p == f.gens[d].conjugate(r)
+        assert_same_chart(g.charts[d], chart_loop(p.forward))
+
+
+# ---------------------------------------------------------------------------
+# the consistency check of a carried chart
+# ---------------------------------------------------------------------------
+
+CORRUPTIONS = ("pos", "cycle_of", "order", "rotated", "unsorted", "reversed")
+
+
+def corrupt(chart: CycleChart, how: str) -> CycleChart:
+    """A copy of the chart that is wrong in one way; None if ``how`` cannot apply."""
+    segs = segments(chart)
+    longest = max(range(len(segs)), key=lambda c: len(segs[c]))
+    if how == "pos":
+        # off by one at one point
+        bad = chart_of_segments(chart.n, segs)
+        bad.pos[chart.order[0]] += 1
+        return bad
+    if how == "cycle_of" and len(segs) > 1:
+        bad = chart_of_segments(chart.n, segs)
+        bad.cycle_of[chart.order[0]] = 1
+        return bad
+    if how == "order" and chart.n > 1:
+        # two listed points swapped, with pos and cycle_of following the swap
+        flat = chart.order.tolist()
+        flat[0], flat[-1] = flat[-1], flat[0]
+        return chart_of_segments(chart.n, [flat[s:s + l] for s, l in
+                                           zip(chart.cycle_start, chart.cycle_len)])
+    if how == "rotated" and len(segs[longest]) > 1:
+        # a true cycle that does not start at its minimum
+        segs[longest] = segs[longest][1:] + segs[longest][:1]
+        return chart_of_segments(chart.n, segs)
+    if how == "unsorted" and len(segs) > 1:
+        # true cycles, not listed by increasing minimum
+        segs[0], segs[1] = segs[1], segs[0]
+        return chart_of_segments(chart.n, segs)
+    if how == "reversed" and len(segs[longest]) > 2:
+        # a cycle of the inverse: canonical in form, but not following g
+        segs[longest] = segs[longest][:1] + segs[longest][:0:-1]
+        return chart_of_segments(chart.n, segs)
+    return None
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from(CORRUPTIONS))
+def test_corrupted_carried_chart_fails_the_check(data, how):
+    p = perm(data.draw(forwards(min_n=2)))
+    r = random_perm(data, p.space.n_points)
+    q = p.conjugate(r)
+    carried = CycleChart(p.forward).conjugated(r)
+    # the same cycles rebuilt by the helper pass, so only the corruption can fail
+    assert chart_of_segments(q.space.n_points, segments(carried)).follows(q.forward)
+    bad = corrupt(carried, how)
+    if bad is not None:
+        assert not bad.follows(q.forward)
+
+
+@pytest.mark.parametrize("how", CORRUPTIONS)
+def test_factor_conjugate_rejects_a_corrupted_carry(monkeypatch, how):
+    sp = FiniteSpace(12)
+    f = FactorAction(Z, sp, (Permutation(sp, np.array([1, 2, 0, 4, 5, 6, 3, 7, 9, 10, 11, 8])),))
+    r = Permutation(sp, np.random.default_rng(3).permutation(12))
+    carry = CycleChart.conjugated
+    monkeypatch.setattr(CycleChart, "conjugated", lambda c, r: corrupt(carry(c, r), how))
+    with pytest.raises(VerificationFailed):
+        f.conjugate(r)

@@ -23,10 +23,8 @@ from orbitrewire import (
     good_partition,
     make_factor_ergodic,
     match_labels_conjugator,
-    measure,
     oe_approximate,
     pushforward,
-    sym_diff_mass,
     tile_matching,
     tower_pair,
     verify_orbit_equivalence,
@@ -46,7 +44,7 @@ from orbitrewire.rewiring import (
     equalize_bases,
     reduce_words_to_letters,
 )
-from orbitrewire.rohlin import Tower, rohlin_avoiding
+from orbitrewire.rohlin import Tower
 
 
 # ---------------------------------------------------------------------------
