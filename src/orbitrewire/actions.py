@@ -554,25 +554,15 @@ def freeness_defect(f, window) -> Fraction:
     FreeProductSystem with a window of FreeWord.
     """
     if isinstance(f, FactorAction):
-        images = [(g, lambda g=g: f.element_image_points(g, _arange(f.space)))
-                  for g in window]
-        trivial = [g.is_identity() for g, _ in images]
+        image_points = f.element_image_points
     elif isinstance(f, FreeProductSystem):
-        images = [(w, lambda w=w: f.word_image_points(w, _arange(f.space)))
-                  for w in window]
-        trivial = [w.is_identity() for w, _ in images]
+        image_points = f.word_image_points
     else:
         raise TypeError("freeness_defect expects a FactorAction or FreeProductSystem")
-    if any(trivial):
+    if any(w.is_identity() for w in window):
         raise IdentityInWindow("window contains the identity")
-    if not images:
-        return Fraction(0)
+    points = np.arange(f.space.n_points, dtype=np.int64)
     fixed = np.zeros(f.space.n_points, dtype=bool)
-    ar = _arange(f.space)
-    for _, img in images:
-        fixed |= img() == ar
+    for w in window:
+        fixed |= image_points(w, points) == points
     return Fraction(int(np.count_nonzero(fixed)), f.space.n_points)
-
-
-def _arange(space: FiniteSpace) -> np.ndarray:
-    return np.arange(space.n_points, dtype=np.int64)

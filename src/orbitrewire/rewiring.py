@@ -18,11 +18,18 @@ weakly close to ``beta`` on a requested family of group elements and sets:
 
 Every inequality asserted here is the exact finite form of the corresponding
 step bound; violations raise coded errors instead of degrading silently.
+
+A tower is its level array (``rohlin.Tower.levels``), built once when the
+tower is erected.  The columns (``ColumnData``) are arrays over it: both
+bases listed column by column, the alpha levels in that listing, and one
+row of |T| entries per column for the names, the matching and the matched
+set.  The rewiring reads those levels; only the budget builds its own level
+array, under the rewired action, so that it certifies independently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,6 +40,7 @@ from .errors import (
     BaseSizeMismatch,
     BudgetExceeded,
     BudgetViolated,
+    ConfigError,
     DefectBoundViolated,
     FinalDiscrepancyExceeded,
     LevelOverlap,
@@ -47,6 +55,7 @@ from .goodpart import _check_exact_range, good_partition
 from .groups import DEFAULT_TILE_CAP, AbelianElement, FreeWord, Tile, box_tile, invariance_defect
 from .rohlin import Tower, max_aligned_coverage, orbit_alignment, rohlin_avoiding
 from .space import (
+    MAX_GENERATING_SETS,
     Labeling,
     Permutation,
     PointSet,
@@ -204,16 +213,8 @@ class _GoodSetEvaluator:
 
 def equalize_bases(tw_a: Tower, tw_b: Tower) -> tuple[Tower, Tower]:
     """Trim the larger base (dropping highest-index points) to equal sizes."""
-    na, nb = tw_a.base.size, tw_b.base.size
-    if na == nb:
-        return tw_a, tw_b
-    if na > nb:
-        keep = tw_a.base.indices()[:nb]
-        return Tower(tw_a.tile, PointSet.from_indices(tw_a.base.space, keep),
-                     tw_a.factor_index), tw_b
-    keep = tw_b.base.indices()[:na]
-    return tw_a, Tower(tw_b.tile, PointSet.from_indices(tw_b.base.space, keep),
-                       tw_b.factor_index)
+    size = min(tw_a.base.size, tw_b.base.size)
+    return tw_a.trimmed(size), tw_b.trimmed(size)
 
 
 def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
@@ -342,62 +343,46 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Column:
-    """One matched column: equal-size base pieces plus their tile names."""
+class ColumnData:
+    """Both bases listed column by column, with per-column rows.
 
+    ``q_alpha`` and ``q_beta`` list the two bases in column order, ``col``
+    gives the column of each listed point, and ``levels`` is the alpha
+    tower's |T| x |B| level array in that listing.  Per-column data are
+    n_cols x |T| rows: the tile names ``name_alpha`` and ``name_beta``, and,
+    once ``tile_matching`` has run, the matching ``sigma`` and the matched
+    tile elements ``matched`` (the set T_s).  ``per_point`` lays a row array
+    out like ``levels``.
+    """
+
+    factor_index: int | None
+    tile: Tile
+    alphabet_size: int
     q_alpha: np.ndarray
     q_beta: np.ndarray
+    col: np.ndarray
+    levels: np.ndarray
     name_alpha: np.ndarray
     name_beta: np.ndarray
     sigma: np.ndarray | None = None
-    matched: np.ndarray | None = None  # boolean per tile index: the set T_s
+    matched: np.ndarray | None = None
 
     @property
-    def size(self) -> int:
-        return len(self.q_alpha)
+    def n_columns(self) -> int:
+        return len(self.name_alpha)
+
+    def per_point(self, rows: np.ndarray) -> np.ndarray:
+        """|T| x |B| array whose i-th column is the row of the i-th point's column."""
+        return rows[self.col].T
 
 
-@dataclass
-class ColumnData:
-    factor_index: int | None
-    tile: Tile
-    base_alpha: PointSet
-    base_beta: PointSet
-    alphabet_size: int
-    columns: list[Column] = field(default_factory=list)
-
-    def max_defect(self) -> int:
-        worst = 0
-        for col in self.columns:
-            if col.matched is not None:
-                worst = max(worst, col.matched.size - int(np.count_nonzero(col.matched)))
-        return worst
-
-
-def _names_by_class(f: FactorAction, tile: Tile, base: PointSet,
-                    codes: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(name, points) per distinct tile name over the base, in name order.
-
-    Row i of the name array is the code sequence along the levels of the
-    i-th base point; big-endian unsigned byte keys sort exactly like the
-    code tuples, and points keep increasing index order within a class.
-    """
-    pts = base.indices()
-    names = np.ascontiguousarray(codes[f.tile_images(tile, pts)].T, dtype=np.int16)
-    keys = names.astype(">u2").view(np.dtype((np.void, 2 * tile.size))).ravel()
-    _, first, inverse, counts = np.unique(keys, return_index=True,
-                                          return_inverse=True, return_counts=True)
-    members = np.split(pts[np.argsort(inverse, kind="stable")], np.cumsum(counts)[:-1])
-    return list(zip(names[first], members))
-
-
-def column_partitions(tw_alpha: Tower, tw_beta: Tower, phi: Labeling,
-                      alpha_i: FactorAction, beta_i: FactorAction) -> ColumnData:
+def column_partitions(tw_alpha: Tower, tw_beta: Tower, phi: Labeling) -> ColumnData:
     """Group both bases by tile name and refine into equal-size column pairs.
 
-    Name classes are walked in canonical name order on both sides; each step
-    splits off the lowest-index points, min(remaining alpha, remaining beta)
-    at a time, as the next matched column pair.
+    Each base is listed in canonical name order, points of one name in
+    increasing index order; big-endian unsigned byte keys sort exactly like
+    the code tuples.  Both listings have the same length, and a column ends
+    wherever either listing starts a new name class.
     """
     if tw_alpha.base.size != tw_beta.base.size:
         raise BaseSizeMismatch(
@@ -408,40 +393,28 @@ def column_partitions(tw_alpha: Tower, tw_beta: Tower, phi: Labeling,
     tile = tw_alpha.tile
     if len(phi.alphabet) >= 2**15:
         raise ValueError("alphabet too large for int16 name arrays")
-    cls_a = _names_by_class(alpha_i, tile, tw_alpha.base, phi.codes)
-    cls_b = _names_by_class(beta_i, tile, tw_beta.base, phi.codes)
-    cd = ColumnData(
+    listings = []
+    for tw in (tw_alpha, tw_beta):
+        # row i is the code sequence along the levels of the i-th base point
+        names = np.ascontiguousarray(phi.codes[tw.levels].T, dtype=np.int16)
+        keys = names.astype(">u2").view(np.dtype((np.void, 2 * tile.size))).ravel()
+        _, cls = np.unique(keys, return_inverse=True)
+        order = np.argsort(cls, kind="stable")
+        listings.append((order, names[order], cls[order]))
+    (order_a, names_a, cls_a), (order_b, names_b, cls_b) = listings
+    starts = np.ones(len(order_a), dtype=bool)
+    starts[1:] = (cls_a[1:] != cls_a[:-1]) | (cls_b[1:] != cls_b[:-1])
+    return ColumnData(
         factor_index=tw_alpha.factor_index,
         tile=tile,
-        base_alpha=tw_alpha.base,
-        base_beta=tw_beta.base,
         alphabet_size=len(phi.alphabet),
+        q_alpha=tw_alpha.base.indices()[order_a],
+        q_beta=tw_beta.base.indices()[order_b],
+        col=np.cumsum(starts) - 1,
+        levels=tw_alpha.levels[:, order_a],
+        name_alpha=names_a[starts],
+        name_beta=names_b[starts],
     )
-    ia = ib = 0
-    off_a = off_b = 0
-    while ia < len(cls_a) and ib < len(cls_b):
-        name_a, pts_a = cls_a[ia]
-        name_b, pts_b = cls_b[ib]
-        take = min(len(pts_a) - off_a, len(pts_b) - off_b)
-        cd.columns.append(
-            Column(
-                q_alpha=pts_a[off_a:off_a + take],
-                q_beta=pts_b[off_b:off_b + take],
-                name_alpha=name_a,
-                name_beta=name_b,
-            )
-        )
-        off_a += take
-        off_b += take
-        if off_a == len(pts_a):
-            ia += 1
-            off_a = 0
-        if off_b == len(pts_b):
-            ib += 1
-            off_b = 0
-    if ia != len(cls_a) or ib != len(cls_b):
-        raise BaseSizeMismatch("internal error: column refinement left points over")
-    return cd
 
 
 def tile_matching(cd: ColumnData, eps_prime) -> ColumnData:
@@ -450,7 +423,8 @@ def tile_matching(cd: ColumnData, eps_prime) -> ColumnData:
 
     Greedy per symbol in canonical tile order; leftovers complete the
     bijection arbitrarily (canonical order).  The matched set per column must
-    miss fewer than 7 * eps' * |alphabet| * |T| tile elements, exactly.
+    miss fewer than 7 * eps' * |alphabet| * |T| tile elements, exactly; the
+    rows are written to ``cd`` before that bound is checked.
     """
     eps = exact_fraction(eps_prime)
     tile = cd.tile
@@ -458,10 +432,9 @@ def tile_matching(cd: ColumnData, eps_prime) -> ColumnData:
     e_idx = tile.identity_index
     k_sym = cd.alphabet_size
     enum, eden = eps.numerator, eps.denominator
-    for s, col in enumerate(cd.columns):
-        na, nb = col.name_alpha, col.name_beta
-        sigma = np.full(tsz, -1, dtype=np.int64)
-        sigma[e_idx] = e_idx
+    sigma = np.full((cd.n_columns, tsz), -1, dtype=np.int64)
+    for row, na, nb in zip(sigma, cd.name_alpha, cd.name_beta):
+        row[e_idx] = e_idx
         leftovers_b: list[np.ndarray] = []
         leftovers_a: list[np.ndarray] = []
         for a in range(k_sym):
@@ -471,28 +444,30 @@ def tile_matching(cd: ColumnData, eps_prime) -> ColumnData:
             as_ = as_[as_ != e_idx]
             m = min(len(bs), len(as_))
             if m:
-                sigma[bs[:m]] = as_[:m]
+                row[bs[:m]] = as_[:m]
             leftovers_b.append(bs[m:])
             leftovers_a.append(as_[m:])
         lb = np.sort(np.concatenate(leftovers_b))
         la = np.sort(np.concatenate(leftovers_a))
         if len(lb) != len(la):  # pragma: no cover - cannot happen, both count T-1-matched
             raise DefectBoundViolated("internal error: leftover sides differ")
-        sigma[lb] = la
-        if np.any(np.bincount(sigma, minlength=tsz) != 1):  # pragma: no cover
-            raise DefectBoundViolated("internal error: sigma is not a bijection")
-        matched = na[sigma] == nb
-        col.sigma = sigma
-        col.matched = matched
-        defect = tsz - int(np.count_nonzero(matched))
-        # exact bound: defect < 7 eps' |A| |T|
-        if not defect * eden < 7 * enum * k_sym * tsz:
-            raise DefectBoundViolated(
-                f"column {s}: |T \\ T_s| = {defect} not below "
-                f"7*eps'*|A|*|T| = {Fraction(7 * enum * k_sym * tsz, eden)}",
-                column=s,
-                defect=defect,
-            )
+        row[lb] = la
+    if np.any(np.sort(sigma, axis=1) != np.arange(tsz)):  # pragma: no cover
+        raise DefectBoundViolated("internal error: sigma is not a bijection")
+    cd.sigma = sigma
+    cd.matched = np.take_along_axis(cd.name_alpha, sigma, 1) == cd.name_beta
+    defects = tsz - np.count_nonzero(cd.matched, axis=1)
+    # exact bound: defect < 7 eps' |A| |T|, i.e. defect <= (7 enum |A| |T| - 1) // eden
+    failing = np.flatnonzero(defects > (7 * enum * k_sym * tsz - 1) // eden)
+    if failing.size:
+        s = int(failing[0])
+        defect = int(defects[s])
+        raise DefectBoundViolated(
+            f"column {s}: |T \\ T_s| = {defect} not below "
+            f"7*eps'*|A|*|T| = {Fraction(7 * enum * k_sym * tsz, eden)}",
+            column=s,
+            defect=defect,
+        )
     return cd
 
 
@@ -500,39 +475,26 @@ def tile_matching(cd: ColumnData, eps_prime) -> ColumnData:
 # rewiring permutation
 # ---------------------------------------------------------------------------
 
-def _column_points(cd: ColumnData) -> np.ndarray:
-    """The q_alpha points of all columns, column after column."""
-    return np.concatenate([col.q_alpha for col in cd.columns] + [np.empty(0, np.int64)])
-
-
-def _per_point(cd: ColumnData, per_column: list[np.ndarray], dtype) -> np.ndarray:
-    """|T| x |B| array whose i-th column is the per-column entry of the
-    column holding the i-th point of ``_column_points``."""
-    rows = np.array(per_column, dtype=dtype).reshape(-1, cd.tile.size)
-    return rows[np.repeat(np.arange(len(rows)), [col.size for col in cd.columns])].T
-
-
 def build_rewiring(alpha_i: FactorAction, cd: ColumnData) -> tuple[Permutation, FactorAction]:
     """The level-shuffling automorphism S and the rewired action S a S^-1.
 
     On the level t.Q of column Q, S moves points to the sigma(t) level of the
     same column (identity off the tower).  sigma fixing the identity makes S
     fix every base point, and levels staying inside their column keeps every
-    point in its own factor orbit.
+    point in its own factor orbit.  The levels are those of the alpha tower
+    the columns were built from, which ``alpha_i`` must be the action of.
     """
     n = alpha_i.space.n_points
-    if any(col.sigma is None for col in cd.columns):
+    if cd.sigma is None:
         raise ValueError("tile_matching must complete the columns first")
-    levels = alpha_i.tile_images(cd.tile, _column_points(cd))
-    sigma = _per_point(cd, [col.sigma for col in cd.columns], np.int64)
+    levels = cd.levels
     forward = np.arange(n, dtype=np.int64)
-    forward[levels] = np.take_along_axis(levels, sigma, 0)
+    forward[levels] = np.take_along_axis(levels, cd.per_point(cd.sigma), 0)
     counts = np.bincount(forward, minlength=n)
     if np.any(counts != 1):
         raise LevelOverlap("rewiring assignments collide; tower levels overlap")
     s_perm = Permutation(alpha_i.space, forward)
-    base_idx = cd.base_alpha.indices()
-    if not np.array_equal(forward[base_idx], base_idx):
+    if not np.array_equal(forward[cd.q_alpha], cd.q_alpha):
         raise LevelOverlap("internal error: rewiring moved a base point")
     od = alpha_i.orbits()
     if not np.array_equal(od.orbit_id[forward], od.orbit_id):
@@ -610,8 +572,8 @@ def discrepancy_budget(alpha_pp_i: FactorAction, beta_i: FactorAction,
     tile = cd.tile
     n = alpha_pp_i.space.n_points
     k_sym = cd.alphabet_size
-    levels = alpha_pp_i.tile_images(tile, _column_points(cd))
-    matched = _per_point(cd, [col.matched for col in cd.columns], bool)
+    levels = alpha_pp_i.tile_images(tile, cd.q_alpha)
+    matched = cd.per_point(cd.matched)
     l0_mask = np.ones(n, dtype=bool)
     l0_mask[levels] = False
     l0 = Fraction(int(np.count_nonzero(l0_mask)), n)
@@ -620,7 +582,7 @@ def discrepancy_budget(alpha_pp_i: FactorAction, beta_i: FactorAction,
         raise BudgetViolated(f"tower complement mass {l0} not below {bound_l0}")
     # name-transport equivalence on matched positions: the rewired level of a
     # column sits inside the cell the target-side name promises
-    promised = _per_point(cd, [col.name_beta for col in cd.columns], np.int16)
+    promised = cd.per_point(cd.name_beta)
     if np.any(phi.codes[levels[matched]] != promised[matched]):
         raise BudgetViolated("matched level lands outside the target-side name cell")
     report = BudgetReport(cd.factor_index, [])
@@ -628,7 +590,7 @@ def discrepancy_budget(alpha_pp_i: FactorAction, beta_i: FactorAction,
         l1_mask, l2_mask = _loss_masks(n, tile, levels, matched, g)
         l1 = Fraction(int(np.count_nonzero(l1_mask)), n)
         l2 = Fraction(int(np.count_nonzero(l2_mask)), n)
-        base_mass = Fraction(cd.base_alpha.size, n)
+        base_mass = Fraction(len(cd.q_alpha), n)
         bound_l1_tight = eps * tile.size * base_mass
         if not (l1 < bound_l1_tight or l1 == 0):
             raise BudgetViolated(f"shift-loss mass {l1} not below {bound_l1_tight}")
@@ -737,6 +699,19 @@ def chain_extension(alpha: FreeProductSystem, gamma_head: FreeProductSystem | No
     return FreeProductSystem(tuple(gamma_head.factors) + tuple(tail))
 
 
+def _first_split(ids: np.ndarray, other: np.ndarray) -> int | None:
+    """The first point, in (ids, index) order, whose ``other`` id differs
+    from that of the first point of its ``ids`` class; None if there is none."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    sorted_other = other[order]
+    starts = np.ones(len(ids), dtype=bool)
+    starts[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    lead = np.maximum.accumulate(np.where(starts, np.arange(len(ids)), 0))
+    split = np.flatnonzero(sorted_other != sorted_other[lead])
+    return int(order[split[0]]) if split.size else None
+
+
 def verify_orbit_equivalence(alpha: FreeProductSystem, gamma: FreeProductSystem,
                              r: Permutation) -> tuple[bool, str | None]:
     """Whether gamma's full orbit partition is the r-image of alpha's."""
@@ -750,20 +725,10 @@ def verify_orbit_equivalence(alpha: FreeProductSystem, gamma: FreeProductSystem,
     n_a = len(np.unique(a_ids))
     if n_pairs == n_g == n_a:
         return True, None
-    order = np.lexsort((np.arange(len(g_ids)), g_ids))
-    seen: dict[int, int] = {}
-    for x in order:
-        gid, aid = int(g_ids[x]), int(a_ids[x])
-        if gid in seen and seen[gid] != aid:
-            return False, f"point {int(x)} separates the partitions"
-        seen[gid] = aid
-    seen.clear()
-    order = np.lexsort((np.arange(len(a_ids)), a_ids))
-    for x in order:
-        gid, aid = int(g_ids[x]), int(a_ids[x])
-        if aid in seen and seen[aid] != gid:
-            return False, f"point {int(x)} separates the partitions"
-        seen[aid] = gid
+    for ids, other in ((g_ids, a_ids), (a_ids, g_ids)):
+        x = _first_split(ids, other)
+        if x is not None:
+            return False, f"point {x} separates the partitions"
     return False, "partition counts differ"  # pragma: no cover
 
 
@@ -913,6 +878,14 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
             )
 
     with _stage("phi"):
+        n_elems = sum(len(elems) for elems in window)
+        family_size = len(sets) * (1 + n_elems)
+        if family_size > MAX_GENERATING_SETS:
+            raise ConfigError(
+                f"the phi family has {family_size} sets, more than the "
+                f"{MAX_GENERATING_SETS} supported: each of the {len(sets)} target "
+                f"sets plus its image under each of the {n_elems} window elements"
+            )
         family: list[PointSet] = []
         for a_set in sets:
             family.append(a_set)
@@ -944,8 +917,7 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
             pair = tower_pair(alpha_p.factors[i], beta.factors[i], phi, window[i],
                               eps_prime, tile_cap=tile_cap, factor_index=i)
         with _stage(f"columns[{i}]"):
-            cd = column_partitions(pair.tower_alpha, pair.tower_beta, phi,
-                                   alpha_p.factors[i], beta.factors[i])
+            cd = column_partitions(pair.tower_alpha, pair.tower_beta, phi)
         with _stage(f"matching[{i}]"):
             cd = tile_matching(cd, eps_prime)
         with _stage(f"rewiring[{i}]"):
@@ -955,10 +927,7 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
                                         sets, eps_prime, phi)
         rewirings.append(s_perm)
         new_factors.append(app_i)
-        defects = [
-            col.matched.size - int(np.count_nonzero(col.matched))
-            for col in cd.columns
-        ]
+        defects = pair.tile.size - np.count_nonzero(cd.matched, axis=1)
         factor_reports.append(
             FactorStageReport(
                 factor_index=i,
@@ -970,9 +939,9 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
                 coverage_alpha=pair.coverage_alpha,
                 coverage_beta=pair.coverage_beta,
                 base_size=pair.base_size,
-                column_count=len(cd.columns),
-                column_defects=defects,
-                max_defect=cd.max_defect(),
+                column_count=cd.n_columns,
+                column_defects=defects.tolist(),
+                max_defect=int(defects.max(initial=0)),
                 defect_bound=7 * eps_prime * k_sym * pair.tile.size,
                 budget=budget,
             )

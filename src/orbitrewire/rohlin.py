@@ -12,7 +12,8 @@ reporting achieved coverage honestly.
 all tile shifts of W it picks the one meeting the avoidance set least
 (first minimizer in canonical tile order) and removes the intersection.
 Commutativity keeps the shifted family disjoint; the mass bookkeeping gives
-coverage > 1 - eps whenever the avoidance set has mass < eps/2.
+coverage > 1 - eps whenever the avoidance set has mass < eps/2.  The
+``Tower`` it returns carries its level array, which the later stages read.
 """
 
 from __future__ import annotations
@@ -198,19 +199,43 @@ def tiling_base(f: FactorAction, t: Tile, coverage_floor=None) -> PointSet:
 
 def tower_support(f: FactorAction, t: Tile, base: PointSet) -> tuple[PointSet, bool]:
     """Union of all levels {t . base} and whether they are pairwise disjoint."""
-    levels = f.tile_images(t, base.indices())
-    mask = np.zeros(f.space.n_points, dtype=bool)
-    mask[levels] = True
-    return PointSet(f.space, mask), int(np.count_nonzero(mask)) == levels.size
+    return Tower.over(f, t, base).support()
 
 
 @dataclass
 class Tower:
-    """A Rohlin tower: a base set and the family of tile levels over it."""
+    """A Rohlin tower: a base set and the family of tile levels over it.
+
+    ``levels`` is the |T| x |B| level array ``FactorAction.tile_images``
+    returns for the base points in increasing order: ``levels[t, i]`` is the
+    point t . b_i.  It is built once, by ``Tower.over``; every later stage
+    reads it, and trimming the base slices it.
+    """
 
     tile: Tile
     base: PointSet
+    levels: np.ndarray
     factor_index: int | None = None
+
+    @classmethod
+    def over(cls, f: FactorAction, tile: Tile, base: PointSet,
+             factor_index: int | None = None) -> Tower:
+        """The tower of ``tile`` over ``base`` under the action ``f``."""
+        return cls(tile, base, f.tile_images(tile, base.indices()), factor_index)
+
+    def support(self) -> tuple[PointSet, bool]:
+        """Union of the levels and whether they are pairwise disjoint."""
+        space = self.base.space
+        mask = np.zeros(space.n_points, dtype=bool)
+        mask[self.levels] = True
+        return PointSet(space, mask), int(np.count_nonzero(mask)) == self.levels.size
+
+    def trimmed(self, size: int) -> Tower:
+        """The tower over the ``size`` lowest-index base points."""
+        if size == self.base.size:
+            return self
+        keep = PointSet.from_indices(self.base.space, self.base.indices()[:size])
+        return Tower(self.tile, keep, self.levels[:, :size], self.factor_index)
 
     def to_dict(self) -> dict:
         return {
@@ -266,8 +291,8 @@ def rohlin_avoiding(f: FactorAction, t: Tile, eps, avoid: PointSet,
     t0 = t.element_at(t0_index)
     shifted = f.element_image_set(t0, w)
     base = shifted - avoid
-    tower = Tower(tile=t, base=base, factor_index=factor_index)
-    support_b, disjoint = tower_support(f, t, base)
+    tower = Tower.over(f, t, base, factor_index)
+    support_b, disjoint = tower.support()
     if not disjoint:
         raise CoverageShortfall("internal error: shifted base has overlapping levels")
     if measure(support_b) <= 1 - eps:

@@ -355,6 +355,10 @@ class Distribution:
         return f"Distribution({parts})"
 
 
+# membership patterns are packed into the bits of an int64 code
+MAX_GENERATING_SETS = 62
+
+
 def generated_partition(space: FiniteSpace, sets: Sequence[PointSet]) -> Labeling:
     """Partition generated by a family of sets.
 
@@ -369,8 +373,8 @@ def generated_partition(space: FiniteSpace, sets: Sequence[PointSet]) -> Labelin
             raise SpaceMismatch("generated_partition: set on a different space")
     if k == 0:
         return Labeling.constant(space, ())
-    if k > 62:
-        raise ValueError("generated_partition supports at most 62 sets")
+    if k > MAX_GENERATING_SETS:
+        raise ValueError(f"generated_partition supports at most {MAX_GENERATING_SETS} sets")
     codes = np.zeros(space.n_points, dtype=np.int64)
     for j, s in enumerate(sets):
         # bit j counted from the left so numeric order == lexicographic order

@@ -114,6 +114,10 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["run", str(cfg), "--space-size", "100000",
                  "--override-eps-prime", "1/1000000000"]) == 2
+    # 21 target sets and 2 window elements make a phi family of 21 * 3 = 63
+    # sets, one more than generated_partition supports
+    residues = [{"type": "residue", "modulus": 64, "residues": [r]} for r in range(21)]
+    assert main(["run", str(write_config(tmp_path, {"target_sets": residues}))]) == 2
     # a directory where a file is expected
     assert main(["run", str(tmp_path)]) == 2
     assert main(["verify", str(tmp_path)]) == 2

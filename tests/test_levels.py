@@ -1,12 +1,15 @@
 """Differential tests: the tower stages built on one level array against the
-per-base-point loops they replaced.
+per-base-point and per-column loops they replaced.
 
-Each ``*_loop`` function below is the former implementation, kept as a
-test-only oracle.  The permutations are generated: rotations, rank-2 grid
-shifts (some with a torsion generator, some with extra orbits that are not
-products of their generator cycles), and random multi-cycle permutations;
-the pipeline cases run ``oe_approximate`` on rotation and grid systems and
-check the stages on the arguments it passed them.
+Each ``*_loop`` function below is a former implementation, kept as a
+test-only oracle: the per-point tower support and tile names, the ``while``
+refinement of the name classes into columns, the per-column tile matching,
+and the per-point rewiring and budget masks.  The permutations are
+generated: rotations, rank-2 grid shifts (some with a torsion generator,
+some with extra orbits that are not products of their generator cycles),
+and random multi-cycle permutations; the pipeline cases run
+``oe_approximate`` on rotation and grid systems and check the stages on the
+arguments it passed them.
 """
 
 from fractions import Fraction
@@ -21,17 +24,21 @@ from orbitrewire import (
     AbelianGroupSpec,
     FactorAction,
     FiniteSpace,
+    Labeling,
     Permutation,
     PointSet,
+    Tower,
     box_tile,
     build_rewiring,
+    column_partitions,
     discrepancy_budget,
     oe_approximate,
     rewiring,
+    tile_matching,
 )
-from orbitrewire.errors import BudgetViolated, OrbitRewireError
+from orbitrewire.errors import BudgetViolated, DefectBoundViolated, OrbitRewireError
 from orbitrewire.generate import generate_system
-from orbitrewire.rewiring import Column, ColumnData, _loss_masks, _names_by_class
+from orbitrewire.rewiring import ColumnData, _loss_masks
 from orbitrewire.rohlin import tiling_base, tower_support
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -52,7 +59,8 @@ def tower_support_loop(f, t, base):
     return mask, disjoint
 
 
-def names_by_class_loop(f, tile, base, codes):
+def name_classes_loop(f, tile, base, codes):
+    """(name, points) per distinct tile name over the base, in name order."""
     classes = {}
     for x in base.indices():
         name = codes[f.tile_images(tile, int(x))].astype(np.int16)
@@ -61,12 +69,64 @@ def names_by_class_loop(f, tile, base, codes):
     return [classes[k] for k in sorted(classes)]
 
 
+def column_refinement_loop(cls_a, cls_b):
+    """(q_alpha, q_beta, name_alpha, name_beta) per column: walk the name
+    classes of both bases, splitting off min(remaining alpha, remaining
+    beta) points at a time."""
+    columns = []
+    ia = ib = 0
+    off_a = off_b = 0
+    while ia < len(cls_a) and ib < len(cls_b):
+        name_a, pts_a = cls_a[ia]
+        name_b, pts_b = cls_b[ib]
+        take = min(len(pts_a) - off_a, len(pts_b) - off_b)
+        columns.append((pts_a[off_a:off_a + take], pts_b[off_b:off_b + take], name_a, name_b))
+        off_a += take
+        off_b += take
+        if off_a == len(pts_a):
+            ia += 1
+            off_a = 0
+        if off_b == len(pts_b):
+            ib += 1
+            off_b = 0
+    assert ia == len(cls_a) and ib == len(cls_b)
+    return columns
+
+
+def tile_matching_loop(tile, k_sym, names_a, names_b, eps):
+    """Per column (sigma, matched), stopping at the first column whose
+    defect breaks the bound; returns the columns done and that column."""
+    tsz = tile.size
+    e_idx = tile.identity_index
+    done = []
+    for s, (na, nb) in enumerate(zip(names_a, names_b)):
+        sigma = np.full(tsz, -1, dtype=np.int64)
+        sigma[e_idx] = e_idx
+        leftovers_b, leftovers_a = [], []
+        for a in range(k_sym):
+            bs = np.nonzero(nb == a)[0]
+            bs = bs[bs != e_idx]
+            as_ = np.nonzero(na == a)[0]
+            as_ = as_[as_ != e_idx]
+            m = min(len(bs), len(as_))
+            sigma[bs[:m]] = as_[:m]
+            leftovers_b.append(bs[m:])
+            leftovers_a.append(as_[m:])
+        sigma[np.sort(np.concatenate(leftovers_b))] = np.sort(np.concatenate(leftovers_a))
+        assert sorted(sigma.tolist()) == list(range(tsz))
+        matched = na[sigma] == nb
+        done.append((sigma, matched))
+        defect = tsz - int(np.count_nonzero(matched))
+        if not defect * eps.denominator < 7 * eps.numerator * k_sym * tsz:
+            return done, s
+    return done, None
+
+
 def rewiring_forward_loop(f, cd):
     forward = np.arange(f.space.n_points, dtype=np.int64)
-    for col in cd.columns:
-        for x in col.q_alpha:
-            levels = f.tile_images(cd.tile, int(x))
-            forward[levels] = levels[col.sigma]
+    for x, s in zip(cd.q_alpha, cd.col):
+        levels = f.tile_images(cd.tile, int(x))
+        forward[levels] = levels[cd.sigma[s]]
     return forward
 
 
@@ -79,15 +139,33 @@ def budget_masks_loop(f, cd, g):
     l0 = np.ones(n, dtype=bool)
     l1 = np.zeros(n, dtype=bool)
     l2 = np.zeros(n, dtype=bool)
-    for col in cd.columns:
-        for x in col.q_alpha:
-            img = f.tile_images(tile, int(x))
-            l0[img] = False
-            l1[img[~in_gt]] = True
-            in_gts = np.zeros(tile.size, dtype=bool)
-            in_gts[in_gt] = col.matched[shift[in_gt]]
-            l2[img[~(col.matched & in_gts)]] = True
+    for x, s in zip(cd.q_alpha, cd.col):
+        img = f.tile_images(tile, int(x))
+        l0[img] = False
+        l1[img[~in_gt]] = True
+        in_gts = np.zeros(tile.size, dtype=bool)
+        in_gts[in_gt] = cd.matched[s][shift[in_gt]]
+        l2[img[~(cd.matched[s] & in_gts)]] = True
     return l0, l1, l2
+
+
+def assert_columns_match_loop(cd, f_a, tw_a, f_b, tw_b, codes):
+    """The listing, ``col``, the names and the alpha levels of ``cd`` equal
+    the while refinement of the per-point name classes of both towers."""
+    columns = column_refinement_loop(name_classes_loop(f_a, tw_a.tile, tw_a.base, codes),
+                                     name_classes_loop(f_b, tw_b.tile, tw_b.base, codes))
+    assert cd.n_columns == len(columns)
+    assert cd.q_alpha.tolist() == [x for c in columns for x in c[0]]
+    assert cd.q_beta.tolist() == [x for c in columns for x in c[1]]
+    assert cd.col.tolist() == [s for s, c in enumerate(columns) for _ in c[0]]
+    assert cd.name_alpha.dtype == cd.name_beta.dtype == np.int16
+    assert cd.name_alpha.shape == cd.name_beta.shape == (len(columns), cd.tile.size)
+    for s, (_, _, name_a, name_b) in enumerate(columns):
+        assert np.array_equal(cd.name_alpha[s], name_a)
+        assert np.array_equal(cd.name_beta[s], name_b)
+    assert cd.levels.shape == (cd.tile.size, len(cd.q_alpha))
+    for i, x in enumerate(cd.q_alpha):
+        assert np.array_equal(cd.levels[:, i], f_a.tile_images(cd.tile, int(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,21 +217,21 @@ def fitting_tiles(draw, f: FactorAction):
     return box_tile(f.spec, lows, highs)
 
 
-def _random_columns(rng, tile, base: PointSet) -> ColumnData:
+def _random_columns(rng, f, tile, base: PointSet) -> ColumnData:
     """Base points split into columns with random identity-fixing sigmas."""
     pts = base.indices()
     cuts = np.sort(rng.choice(len(pts) + 1, size=min(3, len(pts) + 1), replace=False))
+    sizes = np.diff(np.concatenate([[0], cuts, [len(pts)]]))
     e = tile.identity_index
     others = np.array([t for t in range(tile.size) if t != e], dtype=np.int64)
-    columns = []
-    for q in np.split(pts, cuts):
-        sigma = np.full(tile.size, e, dtype=np.int64)
-        sigma[others] = rng.permutation(others)
-        names = np.zeros(tile.size, dtype=np.int16)
-        columns.append(Column(q_alpha=q, q_beta=q, name_alpha=names, name_beta=names,
-                              sigma=sigma, matched=rng.random(tile.size) < 0.7))
-    return ColumnData(factor_index=None, tile=tile, base_alpha=base, base_beta=base,
-                      alphabet_size=1, columns=columns)
+    sigma = np.full((len(sizes), tile.size), e, dtype=np.int64)
+    for row in sigma:
+        row[others] = rng.permutation(others)
+    names = np.zeros((len(sizes), tile.size), dtype=np.int16)
+    return ColumnData(factor_index=None, tile=tile, alphabet_size=1, q_alpha=pts, q_beta=pts,
+                      col=np.repeat(np.arange(len(sizes)), sizes),
+                      levels=f.tile_images(tile, pts), name_alpha=names, name_beta=names,
+                      sigma=sigma, matched=rng.random(sigma.shape) < 0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -191,20 +269,72 @@ def test_tower_support_matches_loop(data):
 
 @SETTINGS
 @given(st.data(), st.sampled_from((1, 3, 300)), st.integers(0, 2**32 - 1))
-def test_names_by_class_matches_loop(data, k_sym, seed):
-    # 300 symbols put codes in both bytes of the big-endian keys
-    f = data.draw(factor_actions())
-    tile = data.draw(fitting_tiles(f))
-    n = f.space.n_points
-    codes = np.random.default_rng(seed).integers(0, k_sym, n)
-    base = PointSet.from_indices(f.space, data.draw(st.sets(st.integers(0, n - 1))))
-    got = _names_by_class(f, tile, base, codes)
-    want = names_by_class_loop(f, tile, base, codes)
-    assert len(got) == len(want)
-    for (name, pts), (name_loop, pts_loop) in zip(got, want):
-        assert name.dtype == np.int16
-        assert np.array_equal(name, name_loop)
-        assert pts.tolist() == pts_loop
+def test_column_partitions_match_while_loop(data, k_sym, seed):
+    # 300 symbols put codes in both bytes of the big-endian keys; the beta
+    # tower lives on a random conjugate of the alpha action, so the name
+    # classes of the two bases have unequal sizes
+    f_a = data.draw(factor_actions())
+    tile = data.draw(fitting_tiles(f_a))
+    n = f_a.space.n_points
+    rng = np.random.default_rng(seed)
+    f_b = f_a.conjugate(Permutation(f_a.space, rng.permutation(n)))
+    phi = Labeling(f_a.space, range(k_sym), rng.integers(0, k_sym, n))
+    size = data.draw(st.integers(0, n))
+    tw_a, tw_b = (Tower.over(f, tile, PointSet.from_indices(f.space, rng.choice(n, size, False)))
+                  for f in (f_a, f_b))
+    cd = column_partitions(tw_a, tw_b, phi)
+    assert_columns_match_loop(cd, f_a, tw_a, f_b, tw_b, phi.codes)
+
+
+def _rows_only(tile, k_sym, names_a, names_b) -> ColumnData:
+    """Columns of one base point each; tile_matching reads only the rows."""
+    pts = np.arange(len(names_a), dtype=np.int64)
+    return ColumnData(factor_index=None, tile=tile, alphabet_size=k_sym, q_alpha=pts,
+                      q_beta=pts, col=pts, levels=np.zeros((tile.size, len(pts)), np.int64),
+                      name_alpha=np.asarray(names_a, dtype=np.int16),
+                      name_beta=np.asarray(names_b, dtype=np.int16))
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from((1, 3, 300)), st.integers(0, 2**32 - 1))
+def test_tile_matching_matches_loop(data, k_sym, seed):
+    tile = data.draw(fitting_tiles(data.draw(factor_actions())))
+    rng = np.random.default_rng(seed)
+    shape = (data.draw(st.integers(0, 5)), tile.size)
+    names_a = rng.integers(0, k_sym, shape)
+    # beta names agree with alpha's at a random rate, so defects vary by column
+    names_b = np.where(rng.random(shape) < rng.random(), rng.integers(0, k_sym, shape), names_a)
+    # the bound 7 eps' |A| |T| lands on an integer in 1..|T|+1, so columns
+    # pass and fail in one draw
+    eps = Fraction(data.draw(st.integers(1, tile.size + 1)), 7 * k_sym * tile.size)
+    done, failing = tile_matching_loop(tile, k_sym, names_a, names_b, eps)
+    cd = _rows_only(tile, k_sym, names_a, names_b)
+    if failing is None:
+        assert tile_matching(cd, eps) is cd
+        assert cd.sigma.shape == cd.matched.shape == shape
+    else:
+        with pytest.raises(DefectBoundViolated) as exc:
+            tile_matching(cd, eps)
+        assert exc.value.details == {
+            "column": failing, "defect": tile.size - int(np.count_nonzero(done[-1][1]))}
+    for s, (sigma, matched) in enumerate(done):
+        assert np.array_equal(cd.sigma[s], sigma)
+        assert np.array_equal(cd.matched[s], matched)
+
+
+def test_tile_matching_reports_the_first_failing_column():
+    # column 0 matches exactly; column 1 misses both tile elements, and
+    # 2 >= 7 * 1/20 * 2 * 2 = 1.4 breaks the defect bound
+    tile = box_tile(Z, [0], [1])
+    cd = _rows_only(tile, 2, [[0, 1], [0, 1]], [[0, 1], [1, 0]])
+    with pytest.raises(DefectBoundViolated, match="column 1") as exc:
+        tile_matching(cd, Fraction(1, 20))
+    assert exc.value.details == {"column": 1, "defect": 2}
+    # with a third breaking column, the first one is still the one reported
+    cd = _rows_only(tile, 2, [[0, 1]] * 3, [[0, 1], [1, 0], [1, 0]])
+    with pytest.raises(DefectBoundViolated) as exc:
+        tile_matching(cd, Fraction(1, 20))
+    assert exc.value.details == {"column": 1, "defect": 2}
 
 
 @SETTINGS
@@ -212,7 +342,7 @@ def test_names_by_class_matches_loop(data, k_sym, seed):
 def test_build_rewiring_forward_matches_loop(data, seed):
     f = data.draw(factor_actions())
     tile = data.draw(fitting_tiles(f))
-    cd = _random_columns(np.random.default_rng(seed), tile, tiling_base(f, tile))
+    cd = _random_columns(np.random.default_rng(seed), f, tile, tiling_base(f, tile))
     s_perm, _ = build_rewiring(f, cd)
     assert np.array_equal(s_perm.forward, rewiring_forward_loop(f, cd))
 
@@ -222,12 +352,11 @@ def test_build_rewiring_forward_matches_loop(data, seed):
 def test_loss_masks_match_loop(data, seed):
     f = data.draw(factor_actions())
     tile = data.draw(fitting_tiles(f))
-    cd = _random_columns(np.random.default_rng(seed), tile, tiling_base(f, tile))
+    cd = _random_columns(np.random.default_rng(seed), f, tile, tiling_base(f, tile))
     g = f.spec.element(data.draw(st.lists(st.integers(-3, 3), min_size=f.spec.num_generators,
                                           max_size=f.spec.num_generators)))
-    levels = f.tile_images(tile, np.concatenate([c.q_alpha for c in cd.columns]))
-    matched = np.concatenate([np.repeat(c.matched[:, None], c.size, axis=1)
-                              for c in cd.columns], axis=1)
+    levels = f.tile_images(tile, cd.q_alpha)
+    matched = np.array([cd.matched[s] for s in cd.col], dtype=bool).reshape(-1, tile.size).T
     l1, l2 = _loss_masks(f.space.n_points, tile, levels, matched, g)
     _, l1_loop, l2_loop = budget_masks_loop(f, cd, g)
     assert np.array_equal(l1, l1_loop)
@@ -244,17 +373,18 @@ GRID = ([{"name": "grid_shift", "dims": [50, 50], "steps": [1, 1]}],
         [{"name": "grid_shift", "dims": [50, 50], "steps": [1, 3]}])
 
 
-STAGES = ("column_partitions", "build_rewiring", "discrepancy_budget")
+STAGES = ("tower_pair", "column_partitions", "tile_matching", "build_rewiring",
+          "discrepancy_budget")
 
 
 def _captured_run(templates, n, eps_prime, seed):
-    """Run the pipeline; return (arguments, result) of every call it made
-    to each stage in STAGES."""
+    """Run the pipeline; return (positional arguments, result) of every call
+    it made to each stage in STAGES."""
     calls = {name: [] for name in STAGES}
 
     def recorder(name, fn):
-        def rec(*args):
-            out = fn(*args)
+        def rec(*args, **kwargs):
+            out = fn(*args, **kwargs)
             calls[name].append((args, out))
             return out
         return rec
@@ -286,12 +416,19 @@ def test_pipeline_stages_match_loops(case, seed):
     templates, n, eps_prime = case
     calls = _captured_run(templates, n, eps_prime, seed)
     assert calls["discrepancy_budget"]
-    for (tw_a, tw_b, phi, alpha_i, beta_i), _ in calls["column_partitions"]:
-        for tw, f in ((tw_a, alpha_i), (tw_b, beta_i)):
-            got = _names_by_class(f, tw.tile, tw.base, phi.codes)
-            want = names_by_class_loop(f, tw.tile, tw.base, phi.codes)
-            assert [(name.tolist(), pts.tolist()) for name, pts in got] == \
-                [(name.tolist(), pts) for name, pts in want]
+    # column_partitions gets the towers only; the tower_pair call before it
+    # has the actions they were built under
+    for ((alpha_i, beta_i, *_), _), ((tw_a, tw_b, phi), cd) in zip(calls["tower_pair"],
+                                                                   calls["column_partitions"]):
+        assert_columns_match_loop(cd, alpha_i, tw_a, beta_i, tw_b, phi.codes)
+    for (cd, eps), _ in calls["tile_matching"]:
+        done, failing = tile_matching_loop(cd.tile, cd.alphabet_size, cd.name_alpha,
+                                           cd.name_beta, eps)
+        assert failing is None
+        sigma, matched = (np.array([row[j] for row in done]).reshape(cd.sigma.shape)
+                          for j in (0, 1))
+        assert np.array_equal(cd.sigma, sigma)
+        assert np.array_equal(cd.matched, matched)
     for (alpha_i, cd), (s_perm, _) in calls["build_rewiring"]:
         assert np.array_equal(s_perm.forward, rewiring_forward_loop(alpha_i, cd))
     for (app_i, _, cd, window, _, _, _), report in calls["discrepancy_budget"]:
@@ -304,9 +441,9 @@ def test_pipeline_stages_match_loops(case, seed):
 def test_budget_rejects_a_matched_level_outside_its_promised_cell():
     calls = _captured_run(ROTATIONS, 2000, Fraction(1, 10), 1)
     (app_i, beta_i, cd, window, sets, eps, phi), _ = calls["discrepancy_budget"][0]
-    col = cd.columns[-1]
-    t = int(np.nonzero(col.matched)[0][-1])
-    col.name_beta = col.name_beta.copy()
-    col.name_beta[t] = (col.name_beta[t] + 1) % len(phi.alphabet)
+    s = cd.n_columns - 1
+    t = int(np.nonzero(cd.matched[s])[0][-1])
+    cd.name_beta = cd.name_beta.copy()
+    cd.name_beta[s, t] = (cd.name_beta[s, t] + 1) % len(phi.alphabet)
     with pytest.raises(BudgetViolated, match="target-side name cell"):
         discrepancy_budget(app_i, beta_i, cd, window, sets, eps, phi)

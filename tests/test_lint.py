@@ -1,10 +1,14 @@
-"""Lint: no module of the package or of the tests imports a name it never uses.
+"""Lint: no module of the package or of the tests imports a name it never
+uses, and no private helper of the package is left without a caller.
 
-The check is an AST scan: a name bound by ``import`` or ``from ... import``
+Both checks are AST scans.  A name bound by ``import`` or ``from ... import``
 counts as used when it appears as a ``Name`` anywhere in the module; a name
 used only inside a quoted annotation does not count.  Package ``__init__``
 modules re-export their imports, so they are exempt, and so is
-``from __future__ import ...``.
+``from __future__ import ...``.  A private helper is a top-level function or
+class, or a method of a top-level class, whose name starts with ``_`` and is
+not a dunder; it counts as referenced when its name appears as a ``Name``,
+an attribute or an imported name anywhere in ``src/`` or ``tests/``.
 """
 
 import ast
@@ -13,10 +17,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    p for p in [*(ROOT / "src" / "orbitrewire").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((ROOT / "src" / "orbitrewire").glob("*.py"))
+ALL_FILES = [*PACKAGE, *sorted((ROOT / "tests").glob("*.py"))]
+MODULES = [p for p in ALL_FILES if p.name != "__init__.py"]
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -39,3 +42,51 @@ def test_no_unused_imports(path):
                     if name not in used)
     assert not unused, f"{path.name}: unused imports " + ", ".join(
         f"{name} (line {line})" for line, name in unused)
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_helpers(tree: ast.Module) -> dict[str, int]:
+    """Private top-level functions and classes, and private methods of
+    top-level classes, by name (``Class.method`` for methods)."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = {}
+    for node in tree.body:
+        if isinstance(node, defs) and _is_private(node.name):
+            out[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and _is_private(item.name):
+                    out[f"{node.name}.{item.name}"] = item.lineno
+    return out
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+@pytest.fixture(scope="module")
+def references() -> set[str]:
+    out = set()
+    for path in ALL_FILES:
+        out |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    return out
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_dead_private_helpers(path, references):
+    helpers = private_helpers(ast.parse(path.read_text(encoding="utf-8")))
+    dead = sorted((line, name) for name, line in helpers.items()
+                  if name.rpartition(".")[2] not in references)
+    assert not dead, f"{path.name}: private helpers nothing references " + ", ".join(
+        f"{name} (line {line})" for line, name in dead)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import Z, pointset, rotation, rotation_system
 
@@ -38,7 +39,6 @@ from orbitrewire.errors import (
     RankUnsupported,
 )
 from orbitrewire.rewiring import (
-    Column,
     ColumnData,
     _GoodSetEvaluator,
     equalize_bases,
@@ -106,11 +106,14 @@ def test_tower_pair_parity_windows_exact():
 def test_equalize_bases_trims_highest_indices():
     sp = FiniteSpace(40)
     t = box_tile(Z, [0], [3])
-    tw_a = Tower(tile=t, base=pointset(sp, 0, 4, 8, 12, 16))
-    tw_b = Tower(tile=t, base=pointset(sp, 1, 5, 9, 13))
+    f = rotation(sp, 1)
+    tw_a = Tower.over(f, t, pointset(sp, 0, 4, 8, 12, 16))
+    tw_b = Tower.over(f, t, pointset(sp, 1, 5, 9, 13))
     a2, b2 = equalize_bases(tw_a, tw_b)
     assert a2.base.members == {0, 4, 8, 12}
     assert b2.base.members == {1, 5, 9, 13}
+    assert np.array_equal(a2.levels, f.tile_images(t, [0, 4, 8, 12]))
+    assert np.array_equal(b2.levels, tw_b.levels)
 
 
 def test_good_set_transport_equivalence():
@@ -152,9 +155,9 @@ def test_column_partitions_constant_label_single_column():
     f = rotation(sp, 1)
     phi = Labeling.constant(sp, ())
     pair = _tower_pair_for(sp, f, f, phi, Fraction(1, 10))
-    cd = column_partitions(pair.tower_alpha, pair.tower_beta, phi, f, f)
-    assert len(cd.columns) == 1
-    assert cd.columns[0].size == pair.tower_alpha.base.size
+    cd = column_partitions(pair.tower_alpha, pair.tower_beta, phi)
+    assert cd.n_columns == 1
+    assert cd.col.tolist() == [0] * pair.tower_alpha.base.size
 
 
 def test_column_partitions_greedy_split_sizes():
@@ -166,16 +169,15 @@ def test_column_partitions_greedy_split_sizes():
         sp, ("x", "y"),
         np.array([0] * 50 + [1] * 50, dtype=np.int64),
     )
-    tw_a = Tower(tile=t, base=pointset(sp, 0, 1, 2, 60))
-    tw_b = Tower(tile=t, base=pointset(sp, 3, 4, 61, 62))
-    cd = column_partitions(tw_a, tw_b, phi, f, f)
-    assert [c.size for c in cd.columns] == [2, 1, 1]
-    assert cd.columns[0].q_alpha.tolist() == [0, 1]
-    assert cd.columns[0].q_beta.tolist() == [3, 4]
-    assert cd.columns[1].q_alpha.tolist() == [2]
-    assert cd.columns[1].q_beta.tolist() == [61]
-    assert cd.columns[2].q_alpha.tolist() == [60]
-    assert cd.columns[2].q_beta.tolist() == [62]
+    tw_a = Tower.over(f, t, pointset(sp, 0, 1, 2, 60))
+    tw_b = Tower.over(f, t, pointset(sp, 3, 4, 61, 62))
+    cd = column_partitions(tw_a, tw_b, phi)
+    assert np.bincount(cd.col).tolist() == [2, 1, 1]
+    assert cd.col.tolist() == [0, 0, 1, 2]
+    assert cd.q_alpha.tolist() == [0, 1, 2, 60]
+    assert cd.q_beta.tolist() == [3, 4, 61, 62]
+    assert cd.name_alpha.tolist() == [[0], [0], [1]]
+    assert cd.name_beta.tolist() == [[0], [1], [1]]
 
 
 def test_column_partitions_identical_towers():
@@ -184,9 +186,8 @@ def test_column_partitions_identical_towers():
     evens = PointSet(sp, np.arange(64) % 2 == 0)
     phi = generated_partition(sp, [evens])
     pair = _tower_pair_for(sp, f, f, phi, Fraction(1, 12))
-    cd = column_partitions(pair.tower_alpha, pair.tower_beta, phi, f, f)
-    for col in cd.columns:
-        assert np.array_equal(col.name_alpha, col.name_beta)
+    cd = column_partitions(pair.tower_alpha, pair.tower_beta, phi)
+    assert np.array_equal(cd.name_alpha, cd.name_beta)
 
 
 def test_column_partitions_base_size_mismatch():
@@ -195,9 +196,9 @@ def test_column_partitions_base_size_mismatch():
     f = rotation(sp, 1)
     phi = Labeling.constant(sp, ())
     with pytest.raises(BaseSizeMismatch):
-        column_partitions(Tower(tile=t, base=pointset(sp, 0, 1)),
-                          Tower(tile=t, base=pointset(sp, 2)),
-                          phi, f, f)
+        column_partitions(Tower.over(f, t, pointset(sp, 0, 1)),
+                          Tower.over(f, t, pointset(sp, 2)),
+                          phi)
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +206,18 @@ def test_column_partitions_base_size_mismatch():
 # ---------------------------------------------------------------------------
 
 def _column_data(sp, tile, name_a, name_b, q_a, q_b, k_sym):
-    base_a = PointSet.from_indices(sp, q_a)
-    base_b = PointSet.from_indices(sp, q_b)
+    """One column over the bases q_a and q_b of the rotation by 1."""
+    q_a = np.asarray(q_a, dtype=np.int64)
     return ColumnData(
         factor_index=None,
         tile=tile,
-        base_alpha=base_a,
-        base_beta=base_b,
         alphabet_size=k_sym,
-        columns=[Column(
-            q_alpha=np.asarray(q_a, dtype=np.int64),
-            q_beta=np.asarray(q_b, dtype=np.int64),
-            name_alpha=np.asarray(name_a, dtype=np.int16),
-            name_beta=np.asarray(name_b, dtype=np.int16),
-        )],
+        q_alpha=q_a,
+        q_beta=np.asarray(q_b, dtype=np.int64),
+        col=np.zeros(len(q_a), dtype=np.int64),
+        levels=rotation(sp, 1).tile_images(tile, q_a),
+        name_alpha=np.asarray([name_a], dtype=np.int16),
+        name_beta=np.asarray([name_b], dtype=np.int16),
     )
 
 
@@ -227,9 +226,8 @@ def test_tile_matching_equal_names_identity():
     tile = box_tile(Z, [0], [4])
     cd = _column_data(sp, tile, [0, 1, 0, 1, 0], [0, 1, 0, 1, 0], [0], [1], 2)
     cd = tile_matching(cd, Fraction(1, 6))
-    col = cd.columns[0]
-    assert col.sigma.tolist() == [0, 1, 2, 3, 4]
-    assert col.matched.all()
+    assert cd.sigma.tolist() == [[0, 1, 2, 3, 4]]
+    assert cd.matched.all()
 
 
 def test_tile_matching_two_element_swap_case():
@@ -238,9 +236,8 @@ def test_tile_matching_two_element_swap_case():
     # names disagree everywhere and sigma(e) = e is forced: T_s is empty
     cd = _column_data(sp, tile, [0, 1], [1, 0], [0], [1], 2)
     cd = tile_matching(cd, Fraction(1, 10))  # 7 * 1/10 * 2 * 2 = 2.8 > 2
-    col = cd.columns[0]
-    assert col.sigma.tolist() == [0, 1]
-    assert not col.matched.any()
+    assert cd.sigma.tolist() == [[0, 1]]
+    assert not cd.matched.any()
 
 
 def test_tile_matching_defect_bound_violated():
@@ -258,12 +255,11 @@ def test_tile_matching_per_symbol_count_gap():
     name_b = [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]  # counts differ by 2 per symbol
     cd = _column_data(sp, tile, name_a, name_b, [0], [1], 2)
     cd = tile_matching(cd, Fraction(1, 8))
-    col = cd.columns[0]
-    defect = tile.size - int(col.matched.sum())
+    defect = tile.size - int(cd.matched[0].sum())
     assert defect <= 2 * 2 + 1
     # sigma is a bijection fixing the identity
-    assert sorted(col.sigma.tolist()) == list(range(10))
-    assert col.sigma[tile.identity_index] == tile.identity_index
+    assert sorted(cd.sigma[0].tolist()) == list(range(10))
+    assert cd.sigma[0, tile.identity_index] == tile.identity_index
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +272,7 @@ def test_build_rewiring_identity_when_sigma_identity():
     phi = Labeling.constant(sp, ())
     pair = _tower_pair_for(sp, f, f, phi, Fraction(1, 10))
     cd = tile_matching(
-        column_partitions(pair.tower_alpha, pair.tower_beta, phi, f, f),
+        column_partitions(pair.tower_alpha, pair.tower_beta, phi),
         Fraction(1, 10),
     )
     s_perm, app = build_rewiring(f, cd)
@@ -292,17 +288,15 @@ def test_build_rewiring_swap_levels_on_z6():
     cd = ColumnData(
         factor_index=None,
         tile=tile,
-        base_alpha=pointset(sp, 0, 3),
-        base_beta=pointset(sp, 0, 3),
         alphabet_size=1,
-        columns=[Column(
-            q_alpha=np.array([0, 3]),
-            q_beta=np.array([0, 3]),
-            name_alpha=np.zeros(3, dtype=np.int16),
-            name_beta=np.zeros(3, dtype=np.int16),
-            sigma=np.array([0, 2, 1]),
-            matched=np.array([True, False, False]),
-        )],
+        q_alpha=np.array([0, 3]),
+        q_beta=np.array([0, 3]),
+        col=np.array([0, 0]),
+        levels=f.tile_images(tile, [0, 3]),
+        name_alpha=np.zeros((1, 3), dtype=np.int16),
+        name_beta=np.zeros((1, 3), dtype=np.int16),
+        sigma=np.array([[0, 2, 1]]),
+        matched=np.array([[True, False, False]]),
     )
     s_perm, app = build_rewiring(f, cd)
     assert s_perm.forward.tolist() == [0, 2, 1, 3, 5, 4]
@@ -320,17 +314,15 @@ def test_build_rewiring_fixes_points_outside_tower():
     cd = ColumnData(
         factor_index=None,
         tile=tile,
-        base_alpha=pointset(sp, 0),
-        base_beta=pointset(sp, 0),
         alphabet_size=1,
-        columns=[Column(
-            q_alpha=np.array([0]),
-            q_beta=np.array([0]),
-            name_alpha=np.zeros(3, dtype=np.int16),
-            name_beta=np.zeros(3, dtype=np.int16),
-            sigma=np.array([0, 2, 1]),
-            matched=np.array([True, False, False]),
-        )],
+        q_alpha=np.array([0]),
+        q_beta=np.array([0]),
+        col=np.array([0]),
+        levels=f.tile_images(tile, [0]),
+        name_alpha=np.zeros((1, 3), dtype=np.int16),
+        name_beta=np.zeros((1, 3), dtype=np.int16),
+        sigma=np.array([[0, 2, 1]]),
+        matched=np.array([[True, False, False]]),
     )
     s_perm, _ = build_rewiring(f, cd)
     for x in range(3, 10):
@@ -348,7 +340,7 @@ def test_discrepancy_budget_self_rewiring_zero():
     phi = generated_partition(sp, [evens])
     eps = Fraction(1, 16)
     pair = tower_pair(f, f, phi, [Z.element([1])], eps)
-    cd = tile_matching(column_partitions(pair.tower_alpha, pair.tower_beta, phi, f, f), eps)
+    cd = tile_matching(column_partitions(pair.tower_alpha, pair.tower_beta, phi), eps)
     s_perm, app = build_rewiring(f, cd)
     report = discrepancy_budget(app, f, cd, [Z.element([1])], [evens], eps, phi)
     assert report.ok
@@ -363,7 +355,7 @@ def test_discrepancy_budget_identity_element_no_shift_loss():
     phi = Labeling.constant(sp, ())
     eps = Fraction(1, 16)
     pair = tower_pair(f, f, phi, [Z.element([1])], eps)
-    cd = tile_matching(column_partitions(pair.tower_alpha, pair.tower_beta, phi, f, f), eps)
+    cd = tile_matching(column_partitions(pair.tower_alpha, pair.tower_beta, phi), eps)
     _, app = build_rewiring(f, cd)
     report = discrepancy_budget(app, f, cd, [Z.identity()], [PointSet.full(sp)], eps, phi)
     assert report.per_element[0].l1 == 0
@@ -450,6 +442,55 @@ def test_verify_orbit_equivalence_detects_coarsening():
     ok, diag = verify_orbit_equivalence(alpha, gamma, Permutation.identity(sp))
     assert not ok
     assert diag is not None
+
+
+def test_verify_orbit_equivalence_names_the_first_separating_point():
+    sp = FiniteSpace(12)
+    identity = Permutation.identity(sp)
+    parity = rotation_system(sp, 2, 2)
+    coarser = rotation_system(sp, 1, 2)
+    assert verify_orbit_equivalence(parity, coarser, identity) == \
+        (False, "point 1 separates the partitions")
+    assert verify_orbit_equivalence(coarser, parity, identity) == \
+        (False, "point 1 separates the partitions")
+    shift = Permutation(sp, np.roll(np.arange(12), 5))
+    mod4, mod3 = rotation_system(sp, 4, 6), rotation_system(sp, 3, 6)
+    assert verify_orbit_equivalence(mod4, mod3, shift) == \
+        (False, "point 3 separates the partitions")
+    assert verify_orbit_equivalence(mod3, mod4, shift) == \
+        (False, "point 2 separates the partitions")
+
+
+def _separating_point_loop(g_ids, a_ids):
+    """The former diagnostic: walk the points in (gamma orbit, index) order,
+    then in (alpha orbit, index) order, until an orbit maps to two orbits."""
+    for ids, other in ((g_ids, a_ids), (a_ids, g_ids)):
+        seen = {}
+        for x in np.lexsort((np.arange(len(ids)), ids)):
+            if ids[x] in seen and seen[ids[x]] != other[x]:
+                return int(x)
+            seen[ids[x]] = other[x]
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_verify_orbit_equivalence_matches_loop(n, seed):
+    rng = np.random.default_rng(seed)
+    sp = FiniteSpace(n)
+
+    def system():
+        return FreeProductSystem(tuple(
+            FactorAction(Z, sp, (Permutation(sp, rng.permutation(n)),))
+            for _ in range(rng.integers(1, 3))))
+
+    alpha, gamma = system(), system()
+    r = Permutation(sp, rng.permutation(n))
+    ok, diag = verify_orbit_equivalence(alpha, gamma, r)
+    x = _separating_point_loop(gamma.full_orbit_decomposition().orbit_id,
+                               alpha.full_orbit_decomposition().orbit_id[r.inverse_array])
+    assert ok == (x is None)
+    assert diag == (None if ok else f"point {x} separates the partitions")
 
 
 def test_chain_extension_cases():

@@ -129,10 +129,10 @@ def test_verify_tower_detects_overlap():
     sp = FiniteSpace(4)
     f = rotation(sp, 1)
     t = box_tile(Z, [0], [1])
-    bad = Tower(tile=t, base=pointset(sp, 0, 1))
+    bad = Tower.over(f, t, pointset(sp, 0, 1))
     rep = verify_tower(bad, f)
     assert not rep.disjoint
-    empty = Tower(tile=t, base=PointSet.empty(sp))
+    empty = Tower.over(f, t, PointSet.empty(sp))
     rep2 = verify_tower(empty, f)
     assert rep2.disjoint and rep2.coverage == 0
 
