@@ -4,7 +4,10 @@ The workhorse here is the cycle chart of each generator permutation: points
 listed cycle by cycle with per-point positions.  Charts turn arbitrary powers
 g^j into O(1) index arithmetic and box-window sums into circular prefix-sum
 differences, which keeps every tower/name/average computation linear in the
-space size instead of linear in |tile| * N.
+space size instead of linear in |tile| * N.  ``window_sum`` gives such sums
+in point order; the tile search of a single-generator factor reads the
+chart's cycle listing directly instead (``rewiring._GoodSetEvaluator``),
+because its bad counts do not depend on point order.
 
 A chart is built in O(N log L) numpy passes, L the longest cycle: pointer
 doubling finds every point's cycle minimum and list ranking along the
@@ -182,31 +185,18 @@ class CycleChart:
         offs = (self.pos[points][None, :] + lo + np.arange(width, dtype=np.int64)[:, None]) % ln[None, :]
         return self.order[st[None, :] + offs].ravel()
 
-    def prefix(self, values: np.ndarray) -> np.ndarray:
-        """Cycle-ordered prefix sums of a value array, reusable across widths."""
-        v_ord = values[self.order]
+    def window_sum(self, values: np.ndarray, lo: int, width: int) -> np.ndarray:
+        """out[x] = sum of values[g^j x] for j in [lo, lo+width), all x.
+
+        One cycle-ordered prefix sum serves every point; widths beyond the
+        cycle length wrap and count full laps.
+        """
         pref = np.empty(self.n + 1, dtype=np.int64)
         pref[0] = 0
-        np.cumsum(v_ord, out=pref[1:])
-        return pref
-
-    def window_from_prefix(self, pref: np.ndarray, lo: int, width: int,
-                           points: np.ndarray | None = None) -> np.ndarray:
-        """out[x] = sum of values[g^j x] for j in [lo, lo+width).
-
-        ``pref`` comes from :meth:`prefix`; restricting to ``points`` costs
-        proportionally less.  Widths beyond the cycle length wrap and count
-        full laps.
-        """
-        if points is None:
-            c = self.cycle_of
-            pos = self.pos
-        else:
-            c = self.cycle_of[points]
-            pos = self.pos[points]
-        st = self.cycle_start[c]
-        ln = self.cycle_len[c]
-        p0 = (pos + lo) % ln
+        np.cumsum(values[self.order], out=pref[1:])
+        st = self.cycle_start[self.cycle_of]
+        ln = self.cycle_len[self.cycle_of]
+        p0 = (self.pos + lo) % ln
         laps = width // ln
         rem = width - laps * ln
         total = pref[st + ln] - pref[st]
@@ -217,10 +207,6 @@ class CycleChart:
         seg_wrap = (pref[st + ln] - pref[st + p0]) + (pref[st + end_wrap] - pref[st])
         seg = np.where(end <= ln, seg_in, seg_wrap)
         return laps * total + seg
-
-    def window_sum(self, values: np.ndarray, lo: int, width: int) -> np.ndarray:
-        """out[x] = sum of values[g^j x] for j in [lo, lo+width), all x."""
-        return self.window_from_prefix(self.prefix(values), lo, width)
 
 
 class FactorAction:

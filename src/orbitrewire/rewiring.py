@@ -107,14 +107,84 @@ class TowerPairResult:
     base_size: int
 
 
+class _CycleBlock:
+    """The C cycles of one length l of a single-generator chart, as C x l rows.
+
+    ``points[i, j]`` is the point at position j of the block's i-th cycle, in
+    chart order.  Per symbol a, ``pref[a][i, k]`` counts a among the first k
+    points of cycle i read twice round (0 <= k < 2l), so the window of
+    rem < l steps from position s is ``pref[a][i, s + rem] - pref[a][i, s]``;
+    column l is the cycle's count, kept as the int64 column ``totals[a]``.
+    """
+
+    def __init__(self, points: np.ndarray, codes: np.ndarray, k_sym: int):
+        n_cycles, ell = points.shape
+        self.points = points
+        self.length = ell
+        # prefix values reach 2l - 1; int32 halves the memory while that fits
+        dtype = np.int32 if 2 * ell < 2**31 else np.int64
+        self.pref = []
+        self.totals = []
+        for a in range(k_sym):
+            pref = np.zeros((n_cycles, 2 * ell), dtype=dtype)
+            np.cumsum(codes == a, axis=1, dtype=dtype, out=pref[:, 1:ell + 1])
+            pref[:, ell + 1:] = pref[:, 1:ell] + pref[:, ell:ell + 1]
+            self.pref.append(pref)
+            self.totals.append(pref[:, ell:ell + 1].astype(np.int64))
+        self.fixed = np.zeros((n_cycles, 1), dtype=bool)
+
+    def window(self, a: int, lo: int, side: int, stride: int = 1) -> np.ndarray:
+        """int64 counts of symbol a over g^j x, j in [lo, lo + side), for the
+        points at positions 0, stride, 2 stride, ... of every cycle.
+
+        Position j < l - p, p = lo mod l, starts its window at p + j, the
+        rest at p + j - l: two strided slices of the doubled prefix.  With
+        stride 1 the result is laid out like ``points``.
+        """
+        ell = self.length
+        laps, rem = divmod(side, ell)
+        p = lo % ell
+        pref = self.pref[a]
+        head = pref[:, p:ell:stride]
+        wrap = -(ell - p) % stride  # the first wrapped start
+        tail = pref[:, wrap:p:stride]
+        cut = head.shape[1]
+        w = np.empty((len(pref), cut + tail.shape[1]), dtype=np.int64)
+        np.subtract(pref[:, p + rem:ell + rem:stride], head, out=w[:, :cut])
+        np.subtract(pref[:, wrap + rem:p + rem:stride], tail, out=w[:, cut:])
+        if laps:
+            w += laps * self.totals[a]
+        return w
+
+    def window_at(self, a: int, lo: int, side: int, rows: np.ndarray,
+                  pos: np.ndarray) -> np.ndarray:
+        """The counts of :meth:`window` for the points at (rows, pos)."""
+        ell = self.length
+        laps, rem = divmod(side, ell)
+        start = (pos + lo) % ell
+        pref = self.pref[a]
+        w = np.subtract(pref[rows, start + rem], pref[rows, start], dtype=np.int64)
+        if laps:
+            w += laps * self.totals[a][rows, 0]
+        return w
+
+
 class _GoodSetEvaluator:
     """Exact good-set masses for candidate tiles, built for a fixed factor.
 
-    The per-symbol prefix sums (single-generator factors) and the
-    tile-independent orbit conditions are computed once; each candidate tile
-    is screened on a point subsample first, which is an exact rejection test
-    because bad points in the subsample are bad points outright.  The full
-    per-point pass early-exits once the bad count crosses the threshold.
+    A point is bad when some symbol's count in its tile window strays from
+    the symbol's mass in its orbit (rewired side) or in the whole space
+    (target side) by more than the tolerance; the bad count does not depend
+    on the order the points are visited in.  A single-generator factor is
+    therefore evaluated in chart order: its cycles, grouped by length into
+    ``_CycleBlock`` rows, whose windows are slice differences of per-cycle
+    prefixes, and only an accepted tile's mask is written back to point
+    order.  The orbit conditions do not depend on the tile and are counted
+    once, per cycle.  Each candidate is first screened on a column stride of
+    the blocks, an exact rejection test because bad points in the sample are
+    bad points outright, and the full pass early-exits once the bad count
+    crosses the threshold.  A factor of several generators keeps point order
+    and the tile's ``window_counts``.
     """
 
     SUBSAMPLE_TARGET = 4096
@@ -122,76 +192,122 @@ class _GoodSetEvaluator:
     def __init__(self, f: FactorAction, phi: Labeling, eps: Fraction, kind: str):
         _check_exact_range(eps, f.space.n_points)
         self.f = f
-        self.phi = phi
         self.eps = eps
         self.kind = kind  # "rewired" (orbit-relative) or "target" (global)
-        self.n = f.space.n_points
-        self.k_sym = len(phi.alphabet)
-        self.cells = [np.asarray(phi.codes == a, dtype=np.int64) for a in range(self.k_sym)]
-        self.counts = [int(c.sum()) for c in self.cells]
-        self.single = len(f.charts) == 1
-        if self.single:
+        self.n = n = f.space.n_points
+        self.k_sym = k_sym = len(phi.alphabet)
+        self.counts = np.bincount(phi.codes, minlength=k_sym).tolist()
+        enum, eden = eps.numerator, eps.denominator
+        if len(f.charts) == 1:
             chart = f.charts[0]
-            self.prefs = [chart.prefix(c) for c in self.cells]
-        stride = max(1, self.n // self.SUBSAMPLE_TARGET)
-        self.sample = np.arange(0, self.n, stride, dtype=np.int64)
-        if kind == "rewired":
-            od = f.orbits()
-            enum, eden = eps.numerator, eps.denominator
-            self.l_pt = od.sizes[od.orbit_id]
-            self.c_pt = []
-            fixed_bad = np.zeros(self.n, dtype=bool)
-            for a in range(self.k_sym):
-                c_orb = np.bincount(od.orbit_id[self.cells[a] > 0], minlength=od.n_orbits)
-                self.c_pt.append(c_orb[od.orbit_id])
-                orb_bad = np.abs(c_orb * self.n - self.counts[a] * od.sizes) * eden \
-                    > 2 * enum * od.sizes * self.n
-                fixed_bad |= orb_bad[od.orbit_id]
-            # orbit-vs-global failures are tile-independent
-            self.fixed_bad = fixed_bad
+            # the subsample screen reads every stride-th position of each cycle
+            self.stride = max(1, n // self.SUBSAMPLE_TARGET)
+            codes = phi.codes[chart.order]
+            lengths, self.block_of = np.unique(chart.cycle_len, return_inverse=True)
+            self.row_of = np.empty(chart.n_cycles, dtype=np.int64)
+            self.blocks = []
+            for b, ell in enumerate(lengths.tolist()):
+                cycles = np.flatnonzero(self.block_of == b)
+                self.row_of[cycles] = np.arange(len(cycles))
+                if len(lengths) == 1:  # one length, as for every rotation
+                    blk = _CycleBlock(chart.order.reshape(-1, ell), codes.reshape(-1, ell),
+                                      k_sym)
+                else:
+                    listing = chart.cycle_start[cycles][:, None] + np.arange(ell)
+                    blk = _CycleBlock(chart.order[listing], codes[listing], k_sym)
+                if kind == "rewired":
+                    # orbits are the cycles; orbit-vs-global failures are
+                    # tile-independent
+                    for a, total in enumerate(blk.totals):
+                        blk.fixed |= np.abs(total * n - self.counts[a] * ell) * eden \
+                            > 2 * enum * ell * n
+                self.blocks.append(blk)
+            self.n_fixed = sum(int(np.count_nonzero(b.fixed)) * b.length for b in self.blocks)
         else:
-            self.fixed_bad = np.zeros(self.n, dtype=bool)
+            self.blocks = None
+            self.cells = [np.asarray(phi.codes == a, dtype=np.int64) for a in range(k_sym)]
+            self.fixed_bad = np.zeros(n, dtype=bool)
+            if kind == "rewired":
+                od = f.orbits()
+                self.l_pt = od.sizes[od.orbit_id]
+                self.c_pt = []
+                for a in range(k_sym):
+                    c_orb = np.bincount(od.orbit_id[self.cells[a] > 0], minlength=od.n_orbits)
+                    self.c_pt.append(c_orb[od.orbit_id])
+                    orb_bad = np.abs(c_orb * n - self.counts[a] * od.sizes) * eden \
+                        > 2 * enum * od.sizes * n
+                    self.fixed_bad |= orb_bad[od.orbit_id]
+            self.n_fixed = int(np.count_nonzero(self.fixed_bad))
 
-    def _bad_threshold(self) -> tuple[int, int]:
+    def _too_bad(self, n_bad: int) -> bool:
         # good mass > 1 - 2 eps  <=>  bad_count * eden < 2 * enum * n
-        return 2 * self.eps.numerator * self.n, self.eps.denominator
+        return n_bad * self.eps.denominator >= 2 * self.eps.numerator * self.n
 
-    def _window(self, tile: Tile, a: int, points: np.ndarray | None) -> np.ndarray:
-        if self.single:
-            lo, side = tile.dim_lows[0], tile.sides[0]
-            return self.f.charts[0].window_from_prefix(self.prefs[a], lo, side, points)
-        w = self.f.window_counts(tile, self.cells[a])
-        return w if points is None else w[points]
-
-    def _window_bad(self, tile: Tile, a: int, points: np.ndarray | None) -> np.ndarray:
+    def _far(self, w: np.ndarray, a: int, tsz: int, slack: int) -> np.ndarray:
+        """Windows w of symbol a off the global mass by more than slack*eps;
+        overwrites w."""
         enum, eden = self.eps.numerator, self.eps.denominator
+        w *= self.n
+        w -= self.counts[a] * tsz
+        np.abs(w, out=w)
+        w *= eden
+        return w > slack * enum * tsz * self.n
+
+    def _block_bad(self, blk: _CycleBlock, tile: Tile, a: int, stride: int) -> np.ndarray:
         tsz = tile.size
-        w = self._window(tile, a, points)
-        if self.kind == "rewired":
-            l_pt = self.l_pt if points is None else self.l_pt[points]
-            c_pt = self.c_pt[a] if points is None else self.c_pt[a][points]
-            return np.abs(w * l_pt - c_pt * tsz) * eden > enum * tsz * l_pt
-        return np.abs(w * self.n - self.counts[a] * tsz) * eden > 3 * enum * tsz * self.n
+        w = blk.window(a, tile.dim_lows[0], tile.sides[0], stride)
+        if self.kind != "rewired":
+            return self._far(w, a, tsz, 3)
+        # |w/|T| - c/l| > eps against the cycle's own count c
+        enum, eden = self.eps.numerator, self.eps.denominator
+        ell = blk.length
+        w *= ell
+        w -= blk.totals[a] * tsz
+        np.abs(w, out=w)
+        w *= eden
+        return w > enum * tsz * ell
+
+    def _point_bad(self, tile: Tile, a: int) -> np.ndarray:
+        tsz = tile.size
+        w = self.f.window_counts(tile, self.cells[a])
+        if self.kind != "rewired":
+            return self._far(w, a, tsz, 3)
+        enum, eden = self.eps.numerator, self.eps.denominator
+        return np.abs(w * self.l_pt - self.c_pt[a] * tsz) * eden > enum * tsz * self.l_pt
+
+    def _blocks_bad(self, tile: Tile, stride: int) -> list[np.ndarray] | None:
+        """Per block, its bad points among every stride-th position of each
+        cycle; None once their count crosses the threshold."""
+        bad = [blk.fixed for blk in self.blocks]
+        for a in range(self.k_sym):
+            for i, blk in enumerate(self.blocks):
+                w_bad = self._block_bad(blk, tile, a, stride)
+                bad[i] = np.logical_or(w_bad, bad[i], out=w_bad)
+            if self._too_bad(sum(int(np.count_nonzero(b)) for b in bad)):
+                return None
+        return bad
 
     def evaluate(self, tile: Tile) -> tuple[np.ndarray, Fraction] | None:
         """Good-set mask and mass, or None when mass <= 1 - 2*eps."""
-        lim_num, lim_den = self._bad_threshold()
-        fixed = int(np.count_nonzero(self.fixed_bad))
-        if fixed * lim_den >= lim_num:
+        if self._too_bad(self.n_fixed):
             return None
-        if self.single and len(self.sample) < self.n:
-            bad_sub = self.fixed_bad[self.sample].copy()
+        if self.blocks is None:
+            bad = self.fixed_bad.copy()
             for a in range(self.k_sym):
-                bad_sub |= self._window_bad(tile, a, self.sample)
-                if int(np.count_nonzero(bad_sub)) * lim_den >= lim_num:
+                bad |= self._point_bad(tile, a)
+                if self._too_bad(int(np.count_nonzero(bad))):
                     return None
-        bad = self.fixed_bad.copy()
-        for a in range(self.k_sym):
-            bad |= self._window_bad(tile, a, None)
-            if int(np.count_nonzero(bad)) * lim_den >= lim_num:
+            good = ~bad
+        else:
+            if self.stride > 1 and self._blocks_bad(tile, self.stride) is None:
                 return None
-        mass = Fraction(self.n - int(np.count_nonzero(bad)), self.n)
-        return ~bad, mass
+            bad = self._blocks_bad(tile, 1)
+            if bad is None:
+                return None
+            good = np.empty(self.n, dtype=bool)
+            for blk, b in zip(self.blocks, bad):
+                good[blk.points] = ~b
+        return good, Fraction(int(np.count_nonzero(good)), self.n)
 
     def base_window_ok(self, tile: Tile, base: PointSet, slack: int) -> bool:
         """Every base point's window is within slack*eps of the reference.
@@ -200,15 +316,23 @@ class _GoodSetEvaluator:
         triangle of the orbit and window conditions); slack is 3 for both
         sides.
         """
-        enum, eden = self.eps.numerator, self.eps.denominator
-        idx = base.indices()
-        tsz = tile.size
-        for a in range(self.k_sym):
-            w = self._window(tile, a, idx)
-            if np.any(np.abs(w * self.n - self.counts[a] * tsz) * eden
-                      > slack * enum * tsz * self.n):
-                return False
-        return True
+        return not any(np.any(self._far(w, a, tile.size, slack))
+                       for a, w in self._windows_at(tile, base.indices()))
+
+    def _windows_at(self, tile: Tile, idx: np.ndarray):
+        """(symbol, window counts) for the points idx, per symbol and block."""
+        if self.blocks is None:
+            for a in range(self.k_sym):
+                yield a, self.f.window_counts(tile, self.cells[a])[idx]
+            return
+        chart = self.f.charts[0]
+        cyc = chart.cycle_of[idx]
+        in_block = self.block_of[cyc]
+        for b, blk in enumerate(self.blocks):
+            sel = in_block == b
+            rows, pos = self.row_of[cyc[sel]], chart.pos[idx[sel]]
+            for a in range(self.k_sym):
+                yield a, blk.window_at(a, tile.dim_lows[0], tile.sides[0], rows, pos)
 
 
 def equalize_bases(tw_a: Tower, tw_b: Tower) -> tuple[Tower, Tower]:

@@ -79,8 +79,11 @@ class PointSet:
 
     @classmethod
     def from_indices(cls, space: FiniteSpace, indices: Iterable[int]) -> "PointSet":
+        """The set of the given point indices: an array, or any iterable of ints."""
         mask = np.zeros(space.n_points, dtype=bool)
-        idx = np.asarray(list(indices), dtype=np.int64)
+        if not isinstance(indices, np.ndarray):
+            indices = list(indices)
+        idx = np.asarray(indices, dtype=np.int64)
         if idx.size:
             if idx.min() < 0 or idx.max() >= space.n_points:
                 raise ValueError("point index outside space")

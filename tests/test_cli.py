@@ -270,3 +270,19 @@ def test_explicit_template_and_serialization():
     lab = Labeling.from_symbols(sp, list("aabbab"), alphabet=("a", "b"))
     assert lab.codes_list() == [0, 0, 1, 1, 0, 1]
     assert PointSet.from_indices(sp, [4, 1]).to_sorted_list() == [1, 4]
+
+
+def test_many_column_run_certifies_and_verifies(tmp_path):
+    # rotations at N=1e5 with eps'=1/25: tiles of 625 and 500 elements and
+    # 153 and 190 columns, the regime where the construction splits the
+    # bases into many columns and rewires inside each
+    config = RunConfig.from_dict({**BASE_CONFIG, "space_size": 100_000, "epsilon": "1/5",
+                                  "eps_prime_override": "1/25"})
+    _, report = execute(config)
+    columns = [fr["column_count"] for fr in report["factors"]]
+    assert min(columns) >= 100, columns
+    final = report["final"]["weak_discrepancy"]
+    assert Fraction(final["num"], final["den"]) < Fraction(1, 5)
+    path = tmp_path / "report.json"
+    path.write_bytes(report_json_bytes(report))
+    assert verify_report_file(path) is True

@@ -1,0 +1,294 @@
+"""Differential tests: the good-set evaluator in chart order against the
+point-order evaluator it replaced.
+
+``PointOrderEvaluator`` below is the former ``rewiring._GoodSetEvaluator``,
+kept as a test-only oracle together with the per-point prefix windows it
+read.  The generated single-generator factors are rotations (some with
+gcd(step, N) > 1, so several cycles of one length), products of cycles,
+random permutations with unequal cycle lengths and fixed points, and
+torsion generators; tiles reach past a cycle length so windows wrap whole
+laps.  Grid factors check that the several-generator path kept point order.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from conftest import Z
+
+from orbitrewire import (
+    AbelianGroupSpec,
+    FactorAction,
+    FiniteSpace,
+    Labeling,
+    Permutation,
+    PointSet,
+    box_tile,
+)
+from orbitrewire.rewiring import _GoodSetEvaluator
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the point-order evaluator
+# ---------------------------------------------------------------------------
+
+def chart_prefix(chart, values):
+    pref = np.empty(chart.n + 1, dtype=np.int64)
+    pref[0] = 0
+    np.cumsum(values[chart.order], out=pref[1:])
+    return pref
+
+
+def window_from_prefix(chart, pref, lo, width, points=None):
+    if points is None:
+        c = chart.cycle_of
+        pos = chart.pos
+    else:
+        c = chart.cycle_of[points]
+        pos = chart.pos[points]
+    st_ = chart.cycle_start[c]
+    ln = chart.cycle_len[c]
+    p0 = (pos + lo) % ln
+    laps = width // ln
+    rem = width - laps * ln
+    total = pref[st_ + ln] - pref[st_]
+    end = p0 + rem
+    end_in = np.minimum(end, ln)
+    seg_in = pref[st_ + end_in] - pref[st_ + p0]
+    end_wrap = np.maximum(end - ln, 0)
+    seg_wrap = (pref[st_ + ln] - pref[st_ + p0]) + (pref[st_ + end_wrap] - pref[st_])
+    seg = np.where(end <= ln, seg_in, seg_wrap)
+    return laps * total + seg
+
+
+class PointOrderEvaluator:
+    SUBSAMPLE_TARGET = 4096
+
+    def __init__(self, f, phi, eps, kind):
+        self.f = f
+        self.eps = eps
+        self.kind = kind
+        self.n = f.space.n_points
+        self.k_sym = len(phi.alphabet)
+        self.cells = [np.asarray(phi.codes == a, dtype=np.int64) for a in range(self.k_sym)]
+        self.counts = [int(c.sum()) for c in self.cells]
+        self.single = len(f.charts) == 1
+        if self.single:
+            self.prefs = [chart_prefix(f.charts[0], c) for c in self.cells]
+        stride = max(1, self.n // self.SUBSAMPLE_TARGET)
+        self.sample = np.arange(0, self.n, stride, dtype=np.int64)
+        if kind == "rewired":
+            od = f.orbits()
+            enum, eden = eps.numerator, eps.denominator
+            self.l_pt = od.sizes[od.orbit_id]
+            self.c_pt = []
+            fixed_bad = np.zeros(self.n, dtype=bool)
+            for a in range(self.k_sym):
+                c_orb = np.bincount(od.orbit_id[self.cells[a] > 0], minlength=od.n_orbits)
+                self.c_pt.append(c_orb[od.orbit_id])
+                orb_bad = np.abs(c_orb * self.n - self.counts[a] * od.sizes) * eden \
+                    > 2 * enum * od.sizes * self.n
+                fixed_bad |= orb_bad[od.orbit_id]
+            self.fixed_bad = fixed_bad
+        else:
+            self.fixed_bad = np.zeros(self.n, dtype=bool)
+
+    def _bad_threshold(self):
+        return 2 * self.eps.numerator * self.n, self.eps.denominator
+
+    def _window(self, tile, a, points):
+        if self.single:
+            lo, side = tile.dim_lows[0], tile.sides[0]
+            return window_from_prefix(self.f.charts[0], self.prefs[a], lo, side, points)
+        w = self.f.window_counts(tile, self.cells[a])
+        return w if points is None else w[points]
+
+    def _window_bad(self, tile, a, points):
+        enum, eden = self.eps.numerator, self.eps.denominator
+        tsz = tile.size
+        w = self._window(tile, a, points)
+        if self.kind == "rewired":
+            l_pt = self.l_pt if points is None else self.l_pt[points]
+            c_pt = self.c_pt[a] if points is None else self.c_pt[a][points]
+            return np.abs(w * l_pt - c_pt * tsz) * eden > enum * tsz * l_pt
+        return np.abs(w * self.n - self.counts[a] * tsz) * eden > 3 * enum * tsz * self.n
+
+    def evaluate(self, tile):
+        lim_num, lim_den = self._bad_threshold()
+        fixed = int(np.count_nonzero(self.fixed_bad))
+        if fixed * lim_den >= lim_num:
+            return None
+        if self.single and len(self.sample) < self.n:
+            bad_sub = self.fixed_bad[self.sample].copy()
+            for a in range(self.k_sym):
+                bad_sub |= self._window_bad(tile, a, self.sample)
+                if int(np.count_nonzero(bad_sub)) * lim_den >= lim_num:
+                    return None
+        bad = self.fixed_bad.copy()
+        for a in range(self.k_sym):
+            bad |= self._window_bad(tile, a, None)
+            if int(np.count_nonzero(bad)) * lim_den >= lim_num:
+                return None
+        mass = Fraction(self.n - int(np.count_nonzero(bad)), self.n)
+        return ~bad, mass
+
+    def base_window_ok(self, tile, base, slack):
+        enum, eden = self.eps.numerator, self.eps.denominator
+        idx = base.indices()
+        tsz = tile.size
+        for a in range(self.k_sym):
+            w = self._window(tile, a, idx)
+            if np.any(np.abs(w * self.n - self.counts[a] * tsz) * eden
+                      > slack * enum * tsz * self.n):
+                return False
+        return True
+
+
+# ---------------------------------------------------------------------------
+# generated factors, labelings and tiles
+# ---------------------------------------------------------------------------
+
+def _action(spec, gens) -> FactorAction:
+    sp = FiniteSpace(len(gens[0]))
+    return FactorAction(spec, sp, tuple(Permutation(sp, np.asarray(g, dtype=np.int64))
+                                        for g in gens))
+
+
+def _from_cycles(lengths, relabel) -> np.ndarray:
+    """A permutation with cycles of the given lengths on relabelled points."""
+    n = sum(lengths)
+    fwd = np.empty(n, dtype=np.int64)
+    start = 0
+    for ell in lengths:
+        cyc = relabel[start:start + ell]
+        fwd[cyc] = np.roll(cyc, -1)
+        start += ell
+    return fwd
+
+
+@st.composite
+def single_generator_factors(draw) -> FactorAction:
+    kind = draw(st.sampled_from(("rotation", "equal cycles", "cycles", "permutation",
+                                 "torsion")))
+    if kind == "rotation":
+        # steps sharing a factor with n give gcd(step, n) cycles of one length
+        d = draw(st.integers(1, 6))
+        n = d * draw(st.integers(1, 20))
+        return _action(Z, [(np.arange(n) + d * draw(st.integers(0, n))) % n])
+    if kind in ("equal cycles", "cycles"):
+        if kind == "equal cycles":
+            lengths = [draw(st.integers(1, 12))] * draw(st.integers(1, 8))
+        else:
+            lengths = draw(st.lists(st.integers(1, 15), min_size=1, max_size=8))
+        relabel = np.asarray(draw(st.permutations(range(sum(lengths)))), dtype=np.int64)
+        return _action(Z, [_from_cycles(lengths, relabel)])
+    if kind == "permutation":
+        return _action(Z, [draw(st.permutations(range(draw(st.integers(1, 80)))))])
+    # Z/c: cycle lengths divide c
+    c = draw(st.sampled_from((2, 4, 6, 12)))
+    divisors = [d for d in range(1, c + 1) if c % d == 0]
+    lengths = draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=8))
+    relabel = np.asarray(draw(st.permutations(range(sum(lengths)))), dtype=np.int64)
+    return _action(AbelianGroupSpec(0, (c,)), [_from_cycles(lengths, relabel)])
+
+
+@st.composite
+def grid_factors(draw) -> FactorAction:
+    a, b = draw(st.integers(1, 8)), draw(st.integers(2, 8))
+    i, j = np.divmod(np.arange(a * b), b)
+    return _action(AbelianGroupSpec(2), [((i + 1) % a) * b + j, i * b + (j + 1) % b])
+
+
+@st.composite
+def tiles(draw, f: FactorAction):
+    """A box tile (it must hold the identity); its sides may exceed every
+    cycle length, so windows wrap whole laps."""
+    if f.spec.rank == 0:
+        return box_tile(f.spec, (), ())
+    longest = max(int(c.cycle_len.max()) for c in f.charts)
+    lows, highs = [], []
+    for _ in range(f.spec.rank):
+        side = draw(st.integers(1, 3 * longest + 2))
+        lo = draw(st.integers(-(side - 1), 0))
+        lows.append(lo)
+        highs.append(lo + side - 1)
+    return box_tile(f.spec, lows, highs)
+
+
+def _labeling(data, f) -> Labeling:
+    k_sym = data.draw(st.integers(1, 4))
+    n = f.space.n_points
+    # mostly near-uniform labels, so tiles are accepted as well as rejected
+    if data.draw(st.booleans()):
+        codes = np.arange(n) % k_sym
+    else:
+        codes = np.asarray(data.draw(st.lists(st.integers(0, k_sym - 1),
+                                              min_size=n, max_size=n)), dtype=np.int64)
+    return Labeling(f.space, range(k_sym), codes)
+
+
+def _with_subsample(cls, target):
+    return type(cls.__name__, (cls,), {"SUBSAMPLE_TARGET": target})
+
+
+EPS = st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(1, 5),
+                       Fraction(1, 8), Fraction(1, 40)])
+
+
+def _assert_same_as_oracle(data, f):
+    phi = _labeling(data, f)
+    eps = data.draw(EPS)
+    # small targets make the subsample screen run on these small spaces
+    target = data.draw(st.sampled_from((4096, 2, 5)))
+    n = f.space.n_points
+    for kind in ("rewired", "target"):
+        new = _with_subsample(_GoodSetEvaluator, target)(f, phi, eps, kind)
+        old = _with_subsample(PointOrderEvaluator, target)(f, phi, eps, kind)
+        for _ in range(3):
+            tile = data.draw(tiles(f))
+            got, want = new.evaluate(tile), old.evaluate(tile)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0].dtype == bool
+                assert np.array_equal(got[0], want[0])
+                assert got[1] == want[1]
+            base = PointSet.from_indices(f.space, data.draw(st.sets(st.integers(0, n - 1))))
+            for slack in (1, 2, 3):
+                assert new.base_window_ok(tile, base, slack) == \
+                    old.base_window_ok(tile, base, slack)
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(st.data())
+def test_single_generator_evaluator_matches_point_order(data):
+    _assert_same_as_oracle(data, data.draw(single_generator_factors()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_grid_evaluator_matches_point_order(data):
+    _assert_same_as_oracle(data, data.draw(grid_factors()))
+
+
+@SETTINGS
+@given(st.data())
+def test_window_sum_matches_brute_force(data):
+    f = data.draw(single_generator_factors())
+    chart = f.charts[0]
+    n = f.space.n_points
+    values = np.asarray(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+                        dtype=np.int64)
+    lo = data.draw(st.integers(-40, 40))
+    width = data.draw(st.integers(0, 3 * int(chart.cycle_len.max()) + 2))
+    want = np.zeros(n, dtype=np.int64)
+    pts = np.arange(n, dtype=np.int64)
+    for j in range(lo, lo + width):
+        want += values[chart.power_image(j, pts)]
+    assert np.array_equal(chart.window_sum(values, lo, width), want)

@@ -406,21 +406,32 @@ def _captured_run(templates, n, eps_prime, seed):
     return calls
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.sampled_from([(ROTATIONS, 2000, Fraction(1, 10)),
-                        (ROTATIONS, 2048, Fraction(1, 12)),
-                        (ROTATIONS, 600, Fraction(1, 6)),
-                        (GRID, 2500, Fraction(1, 20))]),
-       st.integers(0, 1000))
-def test_pipeline_stages_match_loops(case, seed):
-    templates, n, eps_prime = case
-    calls = _captured_run(templates, n, eps_prime, seed)
-    assert calls["discrepancy_budget"]
+# large eps' gives tiles of 7 elements: 112 alpha names over about 1260 base
+# points, so alpha classes hold many points, and the boundary between the
+# two beta classes falls inside an alpha class
+BETA_SPLITS = (ROTATIONS, 10000, Fraction(1, 3))
+
+
+def _assert_pipeline_columns_match_loop(calls):
     # column_partitions gets the towers only; the tower_pair call before it
     # has the actions they were built under
     for ((alpha_i, beta_i, *_), _), ((tw_a, tw_b, phi), cd) in zip(calls["tower_pair"],
                                                                    calls["column_partitions"]):
         assert_columns_match_loop(cd, alpha_i, tw_a, beta_i, tw_b, phi.codes)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([(ROTATIONS, 2000, Fraction(1, 10)),
+                        (ROTATIONS, 2048, Fraction(1, 12)),
+                        (ROTATIONS, 600, Fraction(1, 6)),
+                        (GRID, 2500, Fraction(1, 20)),
+                        BETA_SPLITS]),
+       st.integers(0, 1000))
+def test_pipeline_stages_match_loops(case, seed):
+    templates, n, eps_prime = case
+    calls = _captured_run(templates, n, eps_prime, seed)
+    assert calls["discrepancy_budget"]
+    _assert_pipeline_columns_match_loop(calls)
     for (cd, eps), _ in calls["tile_matching"]:
         done, failing = tile_matching_loop(cd.tile, cd.alphabet_size, cd.name_alpha,
                                            cd.name_beta, eps)
@@ -436,6 +447,16 @@ def test_pipeline_stages_match_loops(case, seed):
             masses = [Fraction(int(np.count_nonzero(m)), n)
                       for m in budget_masks_loop(app_i, cd, g)]
             assert [eb.l0, eb.l1, eb.l2] == masses
+
+
+def test_pipeline_columns_end_where_only_the_beta_name_changes():
+    templates, n, eps_prime = BETA_SPLITS
+    calls = _captured_run(templates, n, eps_prime, 0)
+    # some column starts where the alpha name stays the same, so only the
+    # beta listing can have started it
+    assert any(np.any(np.all(cd.name_alpha[1:] == cd.name_alpha[:-1], axis=1))
+               for _, cd in calls["column_partitions"])
+    _assert_pipeline_columns_match_loop(calls)
 
 
 def test_budget_rejects_a_matched_level_outside_its_promised_cell():

@@ -153,3 +153,23 @@ def test_average_empty_family_rejected():
     f = rotation(sp, 1)
     with pytest.raises(ValueError):
         average(f, [], PointSet.full(sp), 0)
+
+
+@pytest.mark.parametrize("indices", [
+    np.array([7, 0, 3, 3], dtype=np.int64),
+    np.array([7, 0, 3], dtype=np.int32),
+    [7, 0, 3, 3],
+    range(0, 8, 3),
+    {0, 3, 7},
+])
+def test_point_set_from_indices_inputs(indices):
+    sp = FiniteSpace(8)
+    s = PointSet.from_indices(sp, indices)
+    assert s.members == {int(i) for i in indices}
+    assert s.mask.dtype == bool
+
+
+@pytest.mark.parametrize("indices", [np.array([0, 8]), np.array([-1]), [8], range(7, 9), {-1}])
+def test_point_set_from_indices_rejects_out_of_range(indices):
+    with pytest.raises(ValueError, match="outside space"):
+        PointSet.from_indices(FiniteSpace(8), indices)
