@@ -9,12 +9,17 @@ in point order; the tile search of a single-generator factor reads the
 chart's cycle listing directly instead (``rewiring._GoodSetEvaluator``),
 because its bad counts do not depend on point order.
 
-A chart is built in O(N log L) numpy passes, L the longest cycle: pointer
-doubling finds every point's cycle minimum and list ranking along the
-inverse gives its position.  Conjugation does not rebuild charts: r maps the
-cycles of g onto those of r g r^-1, so the conjugate's chart is the old one
-moved by r, each cycle rotated to its new minimum and the cycles re-sorted.
-Every carried chart is checked against the conjugated generator in O(N).
+A chart is its cycle listing: ``CycleChart(order, cycle_len)`` derives the
+per-point arrays in O(N), and every chart is made by that constructor.  The
+shift templates (rotations, grid shifts) write their listings in closed form
+(``generate._shift``).  Other generators get theirs from ``CycleChart.of``,
+O(N log L) numpy passes with L the longest cycle: pointer doubling finds
+every point's cycle minimum and list ranking along the inverse gives its
+position.  Conjugation does not rebuild charts: r maps the cycles of g onto
+those of r g r^-1, so the conjugate's listing is the old one moved by r,
+each cycle rotated to its new minimum and the cycles re-sorted.  Every chart
+handed to a ``FactorAction`` rather than built by it, a template's or a
+carried one, is checked against its generator in O(N).
 
 Orbits of a factor are the joins of its generators' cycles; for a single
 generator they are the cycles themselves, otherwise minimum-label propagation
@@ -53,17 +58,39 @@ class CycleChart:
     increasing minimal point.  ``pos[x]`` is the position of x inside its
     cycle, ``cycle_of[x]`` indexes ``cycle_start``/``cycle_len``.
 
-    The constructor builds the chart from a forward array by pointer
-    doubling; :meth:`conjugated` carries it to a conjugate and
-    :meth:`follows` checks a chart against a forward array.
+    A chart is its listing: the constructor takes ``order`` and
+    ``cycle_len`` and derives the rest by O(N) scatters, without checking
+    that the listing is the chart of anything; :meth:`follows` checks it
+    against a forward array.  :meth:`of` builds the listing of a forward
+    array by pointer doubling, and :meth:`conjugated` carries it to a
+    conjugate.
     """
 
     __slots__ = ("n", "order", "pos", "cycle_of", "cycle_start", "cycle_len")
 
-    def __init__(self, forward: np.ndarray):
-        n = forward.shape[0]
+    def __init__(self, order: np.ndarray, cycle_len: np.ndarray):
+        order = np.asarray(order, dtype=np.int64)
+        cycle_len = np.asarray(cycle_len, dtype=np.int64)
+        n = order.shape[0]
         if n >= 2**31:
             raise ValueError("space too large for cycle charts")
+        cycle_start = np.cumsum(cycle_len) - cycle_len
+        seg = np.repeat(np.arange(len(cycle_len), dtype=np.int64), cycle_len)
+        cycle_of = np.empty(n, dtype=np.int64)
+        cycle_of[order] = seg
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n, dtype=np.int64) - cycle_start[seg]
+        self.n = n
+        self.order = order
+        self.pos = pos
+        self.cycle_of = cycle_of
+        self.cycle_start = cycle_start
+        self.cycle_len = cycle_len
+
+    @classmethod
+    def of(cls, forward: np.ndarray) -> "CycleChart":
+        """The chart of a forward array, built by pointer doubling."""
+        n = forward.shape[0]
         forward = np.asarray(forward, dtype=np.int64)
         points = np.arange(n, dtype=np.int64)
         # pointer doubling: after k rounds label[x] is the minimum of the
@@ -96,20 +123,9 @@ class CycleChart:
         # cycles are numbered by increasing minimum
         cycle_of = (np.cumsum(head) - 1)[label]
         cycle_len = np.bincount(cycle_of, minlength=int(np.count_nonzero(head)))
-        self._set(n, pos, cycle_of, cycle_len.astype(np.int64, copy=False))
-
-    def _set(self, n: int, pos: np.ndarray, cycle_of: np.ndarray,
-             cycle_len: np.ndarray) -> None:
-        """Fill in ``order`` and ``cycle_start`` from per-point positions."""
-        cycle_start = np.cumsum(cycle_len) - cycle_len
         order = np.empty(n, dtype=np.int64)
-        order[cycle_start[cycle_of] + pos] = np.arange(n, dtype=np.int64)
-        self.n = n
-        self.order = order
-        self.pos = pos
-        self.cycle_of = cycle_of
-        self.cycle_start = cycle_start
-        self.cycle_len = cycle_len
+        order[(np.cumsum(cycle_len) - cycle_len)[cycle_of] + pos] = points
+        return cls(order, cycle_len)
 
     def conjugated(self, r: Permutation) -> "CycleChart":
         """The chart of r g r^-1, carried over from this chart of g.
@@ -120,21 +136,20 @@ class CycleChart:
         No new chart is built from the conjugate's forward array.
         """
         moved = r.forward[self.order]
-        seg = self.cycle_of[self.order]
         mins = np.minimum.reduceat(moved, self.cycle_start)
-        # the listing index of each cycle's new minimum, and every point's
-        # offset from it
-        at_min = np.flatnonzero(moved == mins[seg])
-        pos = np.empty(self.n, dtype=np.int64)
-        pos[moved] = (np.arange(self.n, dtype=np.int64) - at_min[seg]) % self.cycle_len[seg]
+        # each cycle's offset from its old start to its new minimum
+        seg = np.repeat(np.arange(self.n_cycles, dtype=np.int64), self.cycle_len)
+        rot = np.flatnonzero(moved == mins[seg]) - self.cycle_start
         by_min = np.argsort(mins)
-        rank = np.empty(self.n_cycles, dtype=np.int64)
-        rank[by_min] = np.arange(self.n_cycles, dtype=np.int64)
-        cycle_of = np.empty(self.n, dtype=np.int64)
-        cycle_of[moved] = rank[seg]
-        out = CycleChart.__new__(CycleChart)
-        out._set(self.n, pos, cycle_of, self.cycle_len[by_min])
-        return out
+        cycle_len = self.cycle_len[by_min]
+        # new listing index i of new cycle j reads old cycle c = by_min[j]
+        # at offset (rot[c] + i - new start of j) mod its length
+        new_seg = np.repeat(np.arange(self.n_cycles, dtype=np.int64), cycle_len)
+        c = by_min[new_seg]
+        offs = np.arange(self.n, dtype=np.int64) - (np.cumsum(cycle_len) - cycle_len)[new_seg]
+        offs += rot[c]
+        offs %= self.cycle_len[c]
+        return CycleChart(moved[self.cycle_start[c] + offs], cycle_len)
 
     def follows(self, forward: np.ndarray) -> bool:
         """Whether this chart is the chart of ``forward``, checked in O(N).
@@ -213,18 +228,19 @@ class FactorAction:
     """An action of one abelian factor: one commuting permutation per generator.
 
     Validated eagerly: generators must commute pairwise and torsion
-    generators must have order dividing their modulus.
+    generators must have order dividing their modulus.  Without ``charts``
+    each generator's chart is built by :meth:`CycleChart.of`; given charts
+    (a template's closed form, or charts carried through conjugation) must
+    each pass :meth:`CycleChart.follows`, or construction raises
+    ``VerificationFailed``.
     """
 
     __slots__ = ("spec", "space", "gens", "charts", "_orbits", "_memo")
 
     def __init__(self, spec: AbelianGroupSpec, space: FiniteSpace,
-                 gens: Sequence[Permutation]):
-        self._setup(spec, space, tuple(gens), None)
-
-    def _setup(self, spec: AbelianGroupSpec, space: FiniteSpace,
-               gens: tuple[Permutation, ...], charts: tuple[CycleChart, ...] | None) -> None:
-        """Validate the generators; build their charts, or check the given ones."""
+                 gens: Sequence[Permutation],
+                 charts: Sequence[CycleChart] | None = None):
+        gens = tuple(gens)
         if len(gens) != spec.num_generators:
             raise ValueError(
                 f"spec needs {spec.num_generators} generators, got {len(gens)}"
@@ -239,9 +255,10 @@ class FactorAction:
                 if not np.array_equal(pq, qp):
                     raise ValueError(f"generators {i} and {j} do not commute")
         if charts is None:
-            charts = tuple(CycleChart(p.forward) for p in gens)
+            charts = tuple(CycleChart.of(p.forward) for p in gens)
         else:
-            for d, (p, chart) in enumerate(zip(gens, charts)):
+            charts = tuple(charts)
+            for d, (p, chart) in enumerate(zip(gens, charts, strict=True)):
                 if not chart.follows(p.forward):
                     raise VerificationFailed(f"chart of generator {d} does not follow it")
         for k, c in enumerate(spec.torsion_moduli):
@@ -315,10 +332,8 @@ class FactorAction:
         The charts are carried through the conjugation instead of rebuilt,
         and each carried chart is checked against its conjugated generator.
         """
-        out = FactorAction.__new__(FactorAction)
-        out._setup(self.spec, self.space, tuple(p.conjugate(r) for p in self.gens),
-                   tuple(c.conjugated(r) for c in self.charts))
-        return out
+        return FactorAction(self.spec, self.space, tuple(p.conjugate(r) for p in self.gens),
+                            tuple(c.conjugated(r) for c in self.charts))
 
     def __repr__(self) -> str:
         return f"FactorAction(spec={self.spec}, N={self.space.n_points})"

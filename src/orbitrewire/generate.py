@@ -2,63 +2,81 @@
 
 Templates are deterministic given their parameters; the only randomness in a
 run lives in the good-partition stage, so failures bisect cleanly.
+
+Rotations and grid shifts are coordinate shifts, whose cycle charts have a
+closed form (``_shift``); those charts are handed to ``FactorAction``, which
+checks each against its generator.  ``product_cycle`` and ``explicit``
+factors get their charts from the pointer-doubling build.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .actions import FactorAction, FreeProductSystem
+from .actions import CycleChart, FactorAction, FreeProductSystem
 from .errors import ConfigError
 from .groups import AbelianElement, AbelianGroupSpec
 from .space import FiniteSpace, Permutation, PointSet
 
 
+def _shift(n: int, stride: int, m: int, step: int) -> tuple[np.ndarray, CycleChart]:
+    """Shift of the coordinate (x // stride) % m by ``step``: its forward array
+    and its chart, both in closed form.
+
+    With g = gcd(step, m) every cycle has length m / g and holds the points
+    whose coordinate is congruent mod g; it starts at the one whose
+    coordinate c is below g, which is its minimum, so listing those starts in
+    increasing order lists the cycles by minimum.  Entry k of the cycle
+    starting at x is x + ((c + k step) % m - c) stride.
+    """
+    step %= m
+    points = np.arange(n, dtype=np.int64).reshape(-1, m, stride)
+    c = np.arange(m, dtype=np.int64)
+    forward = points + (((c + step) % m - c) * stride)[None, :, None]
+    g = math.gcd(step, m)
+    c = c[:g, None]
+    offsets = ((c + np.arange(m // g, dtype=np.int64) * step) % m - c) * stride
+    order = points[:, :g, :, None] + offsets[None, :, None, :]
+    chart = CycleChart(order.ravel(), np.full(n // (m // g), m // g, dtype=np.int64))
+    return forward.ravel(), chart
+
+
+def _shift_factor(space: FiniteSpace, shifts: list[tuple[int, int, int]]) -> FactorAction:
+    """The free abelian factor with one generator per (stride, m, step) shift."""
+    made = [_shift(space.n_points, stride, m, step) for stride, m, step in shifts]
+    return FactorAction(AbelianGroupSpec(len(made)), space,
+                        tuple(Permutation(space, forward) for forward, _ in made),
+                        charts=tuple(chart for _, chart in made))
+
+
+def _dims_steps(n: int, dims: list[int], steps: list[int] | None,
+                what: str) -> list[int]:
+    """The steps of a product template, checked against its dims."""
+    if math.prod(dims) != n:
+        raise ConfigError(f"{what} dims {dims} do not multiply to space size {n}")
+    if steps is None:
+        return [1] * len(dims)
+    if len(steps) != len(dims):
+        raise ConfigError(f"{what} template needs one step per dimension")
+    return steps
+
+
 def _rotation(space: FiniteSpace, step: int) -> FactorAction:
-    n = space.n_points
-    forward = (np.arange(n, dtype=np.int64) + step) % n
-    return FactorAction(AbelianGroupSpec(1), space, (Permutation(space, forward),))
+    return _shift_factor(space, [(1, space.n_points, step)])
 
 
 def _grid_shift(space: FiniteSpace, dims: list[int], steps: list[int] | None) -> FactorAction:
-    n = space.n_points
-    total = 1
-    for m in dims:
-        total *= m
-    if total != n:
-        raise ConfigError(f"grid dims {dims} do not multiply to space size {n}")
-    if steps is None:
-        steps = [1] * len(dims)
-    if len(steps) != len(dims):
-        raise ConfigError("grid template needs one step per dimension")
-    idx = np.arange(n, dtype=np.int64)
-    coords = []
-    rem = idx
-    for m in reversed(dims):
-        coords.append(rem % m)
-        rem = rem // m
-    coords.reverse()
-    gens = []
-    for d, (m, st) in enumerate(zip(dims, steps)):
-        shifted = list(coords)
-        shifted[d] = (coords[d] + st) % m
-        flat = np.zeros(n, dtype=np.int64)
-        for c, mm in zip(shifted, dims):
-            flat = flat * mm + c
-        gens.append(Permutation(space, flat))
-    return FactorAction(AbelianGroupSpec(len(dims)), space, tuple(gens))
+    steps = _dims_steps(space.n_points, dims, steps, "grid")
+    strides = [math.prod(dims[d + 1:]) for d in range(len(dims))]
+    return _shift_factor(space, list(zip(strides, dims, steps)))
 
 
 def _product_cycle(space: FiniteSpace, dims: list[int], steps: list[int] | None) -> FactorAction:
     """One generator shifting every coordinate of a product of cycles at once."""
     n = space.n_points
-    total = 1
-    for m in dims:
-        total *= m
-    if total != n:
-        raise ConfigError(f"product dims {dims} do not multiply to space size {n}")
-    if steps is None:
-        steps = [1] * len(dims)
+    steps = _dims_steps(n, dims, steps, "product")
     idx = np.arange(n, dtype=np.int64)
     coords = []
     rem = idx
@@ -68,7 +86,7 @@ def _product_cycle(space: FiniteSpace, dims: list[int], steps: list[int] | None)
     coords.reverse()
     flat = np.zeros(n, dtype=np.int64)
     for c, m, st in zip(coords, dims, steps):
-        flat = flat * m + (c + st) % m
+        flat = flat * m + (c + st % m) % m
     return FactorAction(AbelianGroupSpec(1), space, (Permutation(space, flat),))
 
 

@@ -9,8 +9,10 @@ same config and seed produce byte-identical files.
 The JSON report embeds the witness: the conjugator R and the per-factor
 rewirings S_i.  Verification rebuilds alpha, beta and the target sets from
 the embedded config, derives gamma_i = S_i R alpha_i R^-1 S_i^-1 from the
-witness, and recomputes the final discrepancy and the orbit check; a run
-does this once before its report is written.
+witness, and recomputes the final discrepancy and the orbit check.  A run
+checks its report before writing it: the config echo must parse back to the
+run's config, and the witness is checked the same way on the systems the
+run already built.
 """
 
 from __future__ import annotations
@@ -77,8 +79,13 @@ def _build_systems(config: RunConfig):
 
 
 def execute(config: RunConfig) -> tuple[PipelineResult, dict]:
-    """Run the pipeline for a config; returns the result and the report dict."""
-    _, alpha, beta, sets = _build_systems(config)
+    """Run the pipeline for a config; returns the result and the report dict.
+
+    The report is checked before it is returned: its config echo must parse
+    back to ``config``, and its witness must reproduce the reported
+    discrepancy and orbit equivalence on the systems this run built.
+    """
+    space, alpha, beta, sets = _build_systems(config)
     window = _window_elements(alpha, config.window)
     freeness = [
         rational_to_json(freeness_defect(f, default_window(f.spec)))
@@ -96,7 +103,9 @@ def execute(config: RunConfig) -> tuple[PipelineResult, dict]:
         max_retries=config.max_retries,
     )
     report = build_report(config, result, freeness)
-    if not _verify_report_payload(report):
+    if RunConfig.from_dict(report["config"]) != config:
+        raise VerificationFailed("report config does not parse back to the run's config")
+    if not _verify_report_payload(report, config, space, alpha, beta, sets):
         raise VerificationFailed(
             "serialized witness does not reproduce the reported discrepancy"
         )
@@ -162,8 +171,8 @@ def build_report(config: RunConfig, result: PipelineResult,
             "orbit_equivalence": rep.orbit_check,
         },
         "witness": {
-            "conjugator": [int(v) for v in wit.conjugator.forward],
-            "rewirings": [[int(v) for v in s.forward] for s in wit.rewirings],
+            "conjugator": wit.conjugator.forward.tolist(),
+            "rewirings": [s.forward.tolist() for s in wit.rewirings],
         },
     }
 
@@ -176,28 +185,30 @@ def _field(d, key: str, kind: type):
     return value
 
 
-def _systems_from_report(report: dict):
-    config = RunConfig.from_dict(_field(report, "config", dict))
-    space, alpha, beta, sets = _build_systems(config)
+def _witness_from_report(report: dict, space: FiniteSpace, k: int) -> OEWitness:
+    """The conjugator and the k rewirings a report holds; ConfigError if malformed."""
     wit = _field(report, "witness", dict)
     rewirings = _field(wit, "rewirings", list)
-    if len(rewirings) != alpha.k:
-        raise ConfigError(f"report has {len(rewirings)} rewirings, its config {alpha.k} factors")
+    if len(rewirings) != k:
+        raise ConfigError(f"report has {len(rewirings)} rewirings, its config {k} factors")
 
     def perm(a) -> Permutation:
         return Permutation(space, np.asarray(a, dtype=np.int64))
 
     try:
-        witness = OEWitness(perm(_field(wit, "conjugator", list)), tuple(map(perm, rewirings)))
+        return OEWitness(perm(_field(wit, "conjugator", list)), tuple(map(perm, rewirings)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"report witness is malformed: {exc}") from exc
+
+
+def _verify_report_payload(report: dict, config: RunConfig, space: FiniteSpace,
+                           alpha: FreeProductSystem, beta: FreeProductSystem,
+                           sets: list) -> bool:
+    """Whether the report's witness reproduces its final discrepancy (below
+    eps) and the orbit equivalence, on the systems and sets of ``config``."""
+    witness = _witness_from_report(report, space, alpha.k)
     window = _window_elements(alpha, config.window)
     words = [FreeWord.letter(i, g) for i, elems in enumerate(window) for g in elems]
-    return config, alpha, beta, witness, sets, words
-
-
-def _verify_report_payload(report: dict) -> bool:
-    config, alpha, beta, witness, sets, words = _systems_from_report(report)
     reported = parse_rational(_field(_field(report, "final", dict), "weak_discrepancy", dict),
                               "final weak_discrepancy")
     gamma = witness.gamma(alpha)
@@ -224,9 +235,12 @@ def verify_report_file(path: str | Path) -> bool:
     """Re-check a serialized run: discrepancy and orbit equivalence of the
     gamma its witness derives.
 
+    Alpha, beta and the target sets are rebuilt from the report's config.
     A report without the fields a run writes raises ConfigError.
     """
-    return _verify_report_payload(load_report(path))
+    report = load_report(path)
+    config = RunConfig.from_dict(_field(report, "config", dict))
+    return _verify_report_payload(report, config, *_build_systems(config))
 
 
 def report_json_bytes(report: dict) -> bytes:

@@ -1,12 +1,14 @@
 """Differential tests: the vectorised cycle-chart build, and the chart carried
 through conjugation, against the per-point loop they replaced.
 
-``chart_loop`` is the former ``CycleChart.__init__``, kept as a test-only
-oracle.  The permutations are generated: random permutations, rotations,
+``chart_loop`` is the per-point loop that ``CycleChart.of`` replaced, kept
+as a test-only oracle.  The permutations are generated: random permutations, rotations,
 products of disjoint cycles on shuffled points, permutations with many fixed
 points, and the one-point space.  A carried chart must equal a fresh chart of
 the conjugate, and ``CycleChart.follows`` must reject a carried chart that is
-corrupted in any of its five arrays.
+corrupted in any of its five arrays.  The closed-form charts of the shift
+templates (rotations and grid shifts) must equal ``CycleChart.of`` of their
+generators, and a corrupted template chart must be rejected.
 """
 
 import numpy as np
@@ -15,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import Z
 
-from orbitrewire import AbelianGroupSpec, FactorAction, FiniteSpace, Permutation
+from orbitrewire import AbelianGroupSpec, FactorAction, FiniteSpace, Permutation, generate
 from orbitrewire.actions import CycleChart
 from orbitrewire.errors import VerificationFailed
+from orbitrewire.generate import generate_factor
 
 SETTINGS = settings(max_examples=150, deadline=None)
 FIELDS = ("order", "pos", "cycle_of", "cycle_start", "cycle_len")
@@ -65,19 +68,10 @@ def assert_same_chart(chart: CycleChart, ref: dict[str, np.ndarray]) -> None:
         np.testing.assert_array_equal(got, ref[name], err_msg=name)
 
 
-def chart_of_segments(n: int, segments: list[list[int]]) -> CycleChart:
+def chart_of_segments(segments: list[list[int]]) -> CycleChart:
     """A chart listing exactly these cycles in this order, canonical or not."""
-    chart = CycleChart.__new__(CycleChart)
-    chart.n = n
-    chart.order = np.array([x for seg in segments for x in seg], dtype=np.int64)
-    chart.cycle_len = np.array([len(seg) for seg in segments], dtype=np.int64)
-    chart.cycle_start = np.cumsum(chart.cycle_len) - chart.cycle_len
-    chart.pos = np.empty(n, dtype=np.int64)
-    chart.cycle_of = np.empty(n, dtype=np.int64)
-    for c, seg in enumerate(segments):
-        chart.pos[seg] = np.arange(len(seg))
-        chart.cycle_of[seg] = c
-    return chart
+    return CycleChart(np.array([x for seg in segments for x in seg], dtype=np.int64),
+                      np.array([len(seg) for seg in segments], dtype=np.int64))
 
 
 def segments(chart: CycleChart) -> list[list[int]]:
@@ -126,7 +120,7 @@ def random_perm(data, n: int) -> Permutation:
 @SETTINGS
 @given(forwards())
 def test_chart_matches_loop(forward):
-    chart = CycleChart(forward)
+    chart = CycleChart.of(forward)
     assert_same_chart(chart, chart_loop(forward))
     assert chart.follows(forward)
 
@@ -138,13 +132,13 @@ def test_chart_matches_loop_on_long_cycles(kind):
     rng = np.random.default_rng(7)
     forward = {"rotation": (np.arange(n) + 1234) % n, "random": rng.permutation(n),
                "identity": np.arange(n)}[kind].astype(np.int64)
-    chart = CycleChart(forward)
+    chart = CycleChart.of(forward)
     assert_same_chart(chart, chart_loop(forward))
     assert chart.n_cycles == {"rotation": 1, "identity": n}.get(kind, chart.n_cycles)
 
 
 def test_chart_of_one_point():
-    assert_same_chart(CycleChart(np.zeros(1, dtype=np.int64)), chart_loop(np.zeros(1)))
+    assert_same_chart(CycleChart.of(np.zeros(1, dtype=np.int64)), chart_loop(np.zeros(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +151,7 @@ def test_conjugated_matches_fresh_chart(data):
     p = perm(data.draw(forwards()))
     r = random_perm(data, p.space.n_points)
     q = p.conjugate(r)
-    carried = CycleChart(p.forward).conjugated(r)
+    carried = CycleChart.of(p.forward).conjugated(r)
     assert_same_chart(carried, chart_loop(q.forward))
     assert carried.follows(q.forward)
 
@@ -191,31 +185,31 @@ def corrupt(chart: CycleChart, how: str) -> CycleChart:
     longest = max(range(len(segs)), key=lambda c: len(segs[c]))
     if how == "pos":
         # off by one at one point
-        bad = chart_of_segments(chart.n, segs)
+        bad = chart_of_segments(segs)
         bad.pos[chart.order[0]] += 1
         return bad
     if how == "cycle_of" and len(segs) > 1:
-        bad = chart_of_segments(chart.n, segs)
+        bad = chart_of_segments(segs)
         bad.cycle_of[chart.order[0]] = 1
         return bad
     if how == "order" and chart.n > 1:
         # two listed points swapped, with pos and cycle_of following the swap
         flat = chart.order.tolist()
         flat[0], flat[-1] = flat[-1], flat[0]
-        return chart_of_segments(chart.n, [flat[s:s + l] for s, l in
+        return chart_of_segments([flat[s:s + l] for s, l in
                                            zip(chart.cycle_start, chart.cycle_len)])
     if how == "rotated" and len(segs[longest]) > 1:
         # a true cycle that does not start at its minimum
         segs[longest] = segs[longest][1:] + segs[longest][:1]
-        return chart_of_segments(chart.n, segs)
+        return chart_of_segments(segs)
     if how == "unsorted" and len(segs) > 1:
         # true cycles, not listed by increasing minimum
         segs[0], segs[1] = segs[1], segs[0]
-        return chart_of_segments(chart.n, segs)
+        return chart_of_segments(segs)
     if how == "reversed" and len(segs[longest]) > 2:
         # a cycle of the inverse: canonical in form, but not following g
         segs[longest] = segs[longest][:1] + segs[longest][:0:-1]
-        return chart_of_segments(chart.n, segs)
+        return chart_of_segments(segs)
     return None
 
 
@@ -225,9 +219,9 @@ def test_corrupted_carried_chart_fails_the_check(data, how):
     p = perm(data.draw(forwards(min_n=2)))
     r = random_perm(data, p.space.n_points)
     q = p.conjugate(r)
-    carried = CycleChart(p.forward).conjugated(r)
+    carried = CycleChart.of(p.forward).conjugated(r)
     # the same cycles rebuilt by the helper pass, so only the corruption can fail
-    assert chart_of_segments(q.space.n_points, segments(carried)).follows(q.forward)
+    assert chart_of_segments(segments(carried)).follows(q.forward)
     bad = corrupt(carried, how)
     if bad is not None:
         assert not bad.follows(q.forward)
@@ -242,3 +236,83 @@ def test_factor_conjugate_rejects_a_corrupted_carry(monkeypatch, how):
     monkeypatch.setattr(CycleChart, "conjugated", lambda c, r: corrupt(carry(c, r), how))
     with pytest.raises(VerificationFailed):
         f.conjugate(r)
+
+
+# ---------------------------------------------------------------------------
+# closed-form charts of the shift templates
+# ---------------------------------------------------------------------------
+
+def shift_forward(dims: list[int], d: int, step: int) -> np.ndarray:
+    """The grid shift of coordinate d by step, point by point."""
+    coords = list(np.unravel_index(np.arange(int(np.prod(dims))), dims))
+    coords[d] = (coords[d] + step) % dims[d]
+    return np.ravel_multi_index(coords, dims).astype(np.int64)
+
+
+def check_template(template: dict) -> None:
+    grid = template["name"] == "grid_shift"
+    n = int(np.prod(template["dims"])) if grid else template["n"]
+    f = generate_factor(FiniteSpace(n), template)
+    steps = template["steps"] if grid else [template["step"]]
+    for d, (p, chart) in enumerate(zip(f.gens, f.charts, strict=True)):
+        want = (shift_forward(template["dims"], d, steps[d]) if grid
+                else (np.arange(n, dtype=np.int64) + steps[d]) % n)
+        np.testing.assert_array_equal(p.forward, want)
+        ref = CycleChart.of(p.forward)
+        assert_same_chart(chart, {name: getattr(ref, name) for name in FIELDS})
+
+
+@st.composite
+def shift_templates(draw) -> dict:
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 120))
+        # negative steps, steps >= N and step 0 included; the space size
+        # rides along in "n", which generate_factor ignores
+        return {"name": "rotation", "n": n, "step": draw(st.integers(-3 * n, 3 * n))}
+    dims = draw(st.lists(st.integers(1, 12), min_size=2, max_size=3))
+    steps = [draw(st.integers(-2 * m, 2 * m)) for m in dims]
+    return {"name": "grid_shift", "dims": dims, "steps": steps}
+
+
+@SETTINGS
+@given(shift_templates())
+def test_closed_form_chart_matches_doubling(template):
+    check_template(template)
+
+
+@pytest.mark.parametrize("template", [
+    {"name": "rotation", "n": 1, "step": 0},
+    {"name": "rotation", "n": 1, "step": -4},
+    {"name": "rotation", "n": 12, "step": 0},
+    {"name": "rotation", "n": 12, "step": 8},
+    {"name": "rotation", "n": 12, "step": -9},
+    {"name": "rotation", "n": 12, "step": 29},
+    {"name": "rotation", "n": 4999, "step": 1234},
+    {"name": "rotation", "n": 5000, "step": 1234},
+    {"name": "grid_shift", "dims": [6, 4], "steps": [4, 2]},
+    {"name": "grid_shift", "dims": [6, 4], "steps": [-3, 6]},
+    {"name": "grid_shift", "dims": [4, 6, 3], "steps": [2, 3, -3]},
+    {"name": "grid_shift", "dims": [4, 6, 3], "steps": [0, 9, 1]},
+], ids=lambda t: "_".join(str(v) for k, v in t.items() if k != "name"))
+def test_closed_form_chart_cases(template):
+    check_template(template)
+
+
+# every chart here has several cycles of length 3 or 4, so each corruption applies
+@pytest.mark.parametrize("template", [
+    {"name": "rotation", "step": 4},
+    {"name": "grid_shift", "dims": [3, 4], "steps": [1, 1]},
+], ids=["rotation", "grid_shift"])
+@pytest.mark.parametrize("how", CORRUPTIONS)
+def test_corrupted_template_chart_is_rejected(monkeypatch, template, how):
+    shift = generate._shift
+
+    def corrupted(n, stride, m, step):
+        forward, chart = shift(n, stride, m, step)
+        bad = corrupt(chart, how)
+        assert bad is not None
+        return forward, bad
+
+    monkeypatch.setattr(generate, "_shift", corrupted)
+    with pytest.raises(VerificationFailed):
+        generate_factor(FiniteSpace(12), template)

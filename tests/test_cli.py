@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from orbitrewire import runner
+from orbitrewire.actions import CycleChart
 from orbitrewire.cli import main
 from orbitrewire.config import RunConfig, parse_rational
-from orbitrewire.errors import ConfigError
+from orbitrewire.errors import ConfigError, VerificationFailed
 from orbitrewire.generate import generate_system, make_target_set
 from orbitrewire.runner import execute, report_json_bytes, verify_report_file
 from orbitrewire.space import FiniteSpace
@@ -69,6 +71,26 @@ def test_generate_templates_validate():
         generate_system(sp, [{"name": "grid_shift", "dims": [5, 5]}])
     with pytest.raises(ConfigError):
         generate_system(sp, [{"name": "nope"}])
+
+
+@pytest.mark.parametrize("name", ["grid_shift", "product_cycle"])
+@pytest.mark.parametrize("steps", [[1], [1, 1, 5]], ids=["short", "long"])
+def test_product_templates_need_one_step_per_dimension(name, steps):
+    with pytest.raises(ConfigError, match="one step per dimension"):
+        generate_system(FiniteSpace(36), [{"name": name, "dims": [6, 6], "steps": steps}])
+
+
+@pytest.mark.parametrize("template", [
+    {"name": "rotation", "step": 2**70},
+    {"name": "grid_shift", "dims": [6, 6], "steps": [2**70, -2**70]},
+    {"name": "product_cycle", "dims": [6, 6], "steps": [2**70, -2**70]},
+], ids=lambda t: t["name"])
+def test_steps_beyond_int64_reduce_modulo_the_cycle(template):
+    sp = FiniteSpace(36)
+    small = {k: (v % 36 if k == "step" else [s % 6 for s in v] if k == "steps" else v)
+             for k, v in template.items()}
+    got = generate_system(sp, [template]).factors[0].gens
+    assert got == generate_system(sp, [small]).factors[0].gens
 
 
 def test_make_target_set_kinds():
@@ -286,3 +308,55 @@ def test_many_column_run_certifies_and_verifies(tmp_path):
     path = tmp_path / "report.json"
     path.write_bytes(report_json_bytes(report))
     assert verify_report_file(path) is True
+
+
+def test_execute_builds_each_system_once(monkeypatch):
+    calls = []
+    build = runner.generate_system
+
+    def counted(space, templates):
+        calls.append(templates)
+        return build(space, templates)
+
+    monkeypatch.setattr(runner, "generate_system", counted)
+    config = RunConfig.from_dict(dict(BASE_CONFIG))
+    execute(config)
+    assert calls == [config.alpha, config.beta]
+
+
+@pytest.mark.parametrize("overrides", [{}, GRID_CONFIG], ids=["rotation", "grid_shift"])
+def test_shift_templates_never_build_charts_by_doubling(monkeypatch, tmp_path, overrides):
+    def refuse(cls, forward):
+        raise AssertionError("pointer-doubling chart build reached")
+
+    monkeypatch.setattr(CycleChart, "of", classmethod(refuse))
+    _, report = execute(RunConfig.from_dict({**BASE_CONFIG, **overrides}))
+    path = tmp_path / "report.json"
+    path.write_bytes(report_json_bytes(report))
+    assert verify_report_file(path) is True
+
+
+def _tampered(monkeypatch, tamper) -> None:
+    """Patch ``runner.build_report`` so every report it builds is tampered."""
+    build = runner.build_report
+
+    def tampered(config, result, freeness):
+        report = build(config, result, freeness)
+        tamper(report)
+        return report
+
+    monkeypatch.setattr(runner, "build_report", tampered)
+
+
+def test_execute_rejects_a_tampered_rewiring(monkeypatch):
+    identity = list(range(BASE_CONFIG["space_size"]))
+    _tampered(monkeypatch, lambda r: r["witness"]["rewirings"].__setitem__(0, identity))
+    with pytest.raises(VerificationFailed):
+        execute(RunConfig.from_dict(dict(BASE_CONFIG)))
+
+
+@pytest.mark.parametrize("key, value", [("seed", 4), ("epsilon", "1/2"), ("max_retries", 0)])
+def test_execute_rejects_a_config_echo_that_does_not_round_trip(monkeypatch, key, value):
+    _tampered(monkeypatch, lambda r: r["config"].update({key: value}))
+    with pytest.raises(VerificationFailed):
+        execute(RunConfig.from_dict(dict(BASE_CONFIG)))
