@@ -5,9 +5,12 @@ listed cycle by cycle with per-point positions.  Charts turn arbitrary powers
 g^j into O(1) index arithmetic and box-window sums into circular prefix-sum
 differences, which keeps every tower/name/average computation linear in the
 space size instead of linear in |tile| * N.  ``window_sum`` gives such sums
-in point order; the tile search of a single-generator factor reads the
-chart's cycle listing directly instead (``rewiring._GoodSetEvaluator``),
-because its bad counts do not depend on point order.
+in point order.  The tile search reads a factor's orbits in product
+coordinates instead (``rewiring._GoodSetEvaluator``), because its bad counts
+do not depend on point order: a single generator's cycle listing, or the
+``rohlin.orbit_alignment`` coordinates of several generators.  Only a
+factor with an orbit that is not a product of its generator cycles still
+sums box windows in point order, by ``FactorAction.window_counts``.
 
 A chart is its cycle listing: ``CycleChart(order, cycle_len)`` derives the
 per-point arrays in O(N), and every chart is made by that constructor.  The

@@ -42,6 +42,17 @@ def parse_rational(value, what: str = "value") -> Fraction:
         raise ConfigError(f"cannot parse {what} as a rational: {value!r}") from exc
 
 
+def _integer(value, what: str) -> int:
+    """An integer config value: an int, an integral float or an integer
+    string, never a bool."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} takes integers, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} takes integers, got {value!r}") from exc
+
+
 def rational_to_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator, "approx": float(x)}
 
@@ -88,20 +99,26 @@ class RunConfig:
         if not isinstance(window, list) or len(window) != len(alpha):
             raise ConfigError("window must list element coordinates per factor")
         try:
-            window = [[[int(c) for c in coords] for coords in per_factor]
+            window = [[[_integer(c, "window") for c in coords] for coords in per_factor]
                       for per_factor in window]
-            tile_cap = int(d.get("tile_cap", DEFAULT_TILE_CAP))
-            max_retries = int(d.get("max_retries", 3))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"window, tile_cap and max_retries take integers: {exc}") from exc
+        except TypeError as exc:
+            raise ConfigError(f"window must list coordinate rows per factor: {exc}") from exc
+        if any(not -2**63 <= c < 2**63 for per_factor in window
+               for coords in per_factor for c in coords):
+            raise ConfigError("window coordinates must fit in int64")
+        tile_cap = _integer(d.get("tile_cap", DEFAULT_TILE_CAP), "tile_cap")
+        if tile_cap < 1:
+            raise ConfigError(f"tile_cap must be at least 1, got {tile_cap}")
+        max_retries = _integer(d.get("max_retries", 3), "max_retries")
         sets = d["target_sets"]
         if not isinstance(sets, list) or not sets:
             raise ConfigError("target_sets must be a non-empty list")
         override = d.get("eps_prime_override")
         if override is not None:
             override = parse_rational(override, "eps_prime_override")
-            if override <= 0:
-                raise ConfigError("eps_prime_override must be positive")
+            if not 0 < override < 1:
+                raise ConfigError(
+                    f"eps_prime_override must lie strictly between 0 and 1, got {override}")
         if max_retries < 0:
             raise ConfigError("max_retries must be non-negative")
         ergodize = d.get("ergodize_budget")

@@ -107,66 +107,113 @@ class TowerPairResult:
     base_size: int
 
 
-class _CycleBlock:
-    """The C cycles of one length l of a single-generator chart, as C x l rows.
+def _slide(pref: np.ndarray, totals: np.ndarray, lo: int, side: int,
+           stride: int = 1) -> np.ndarray:
+    """Circular windows of ``side`` steps from ``lo`` along the last axis.
 
-    ``points[i, j]`` is the point at position j of the block's i-th cycle, in
-    chart order.  Per symbol a, ``pref[a][i, k]`` counts a among the first k
-    points of cycle i read twice round (0 <= k < 2l), so the window of
-    rem < l steps from position s is ``pref[a][i, s + rem] - pref[a][i, s]``;
-    column l is the cycle's count, kept as the int64 column ``totals[a]``.
+    ``pref[..., k]`` (0 <= k < 2d) counts the first k entries of each line of
+    length d read twice round and ``totals`` is the int64 line count.  The
+    result holds the int64 window of every stride-th position j = 0, stride,
+    ...: position j < d - p, p = lo mod d, starts its window at p + j, the
+    rest at p + j - d, so both are two strided slice differences, plus one
+    line count per whole lap.
+    """
+    d = pref.shape[-1] // 2
+    laps, rem = divmod(side, d)
+    p = lo % d
+    head = pref[..., p:d:stride]
+    wrap = -(d - p) % stride  # the first wrapped start
+    tail = pref[..., wrap:p:stride]
+    cut = head.shape[-1]
+    w = np.empty(pref.shape[:-1] + (cut + tail.shape[-1],), dtype=np.int64)
+    np.subtract(pref[..., p + rem:d + rem:stride], head, out=w[..., :cut])
+    np.subtract(pref[..., wrap + rem:p + rem:stride], tail, out=w[..., cut:])
+    if laps:
+        w += laps * totals
+    return w
+
+
+def _doubled_prefix(ind: np.ndarray, dtype) -> np.ndarray:
+    """The doubled prefix of every line along the last axis, as ``_slide`` reads it."""
+    d = ind.shape[-1]
+    pref = np.zeros(ind.shape[:-1] + (2 * d,), dtype=dtype)
+    np.cumsum(ind, axis=-1, dtype=dtype, out=pref[..., 1:d + 1])
+    pref[..., d + 1:] = pref[..., 1:d] + pref[..., d:d + 1]
+    return pref
+
+
+class _OrbitBlock:
+    """The C orbits of one shape d_0 x ... x d_{m-1} of a factor whose orbits
+    are all products of their generator cycles, as one C x d_0 x ... block.
+
+    ``points[c, j_0, ..., j_{m-1}]`` is g_0^j_0 ... g_{m-1}^j_{m-1} x_c for
+    the first point x_c of the block's c-th orbit: the orbit's
+    ``rohlin.orbit_alignment`` coords.  For a single generator the rows are
+    its cycles.  Per symbol a, ``pref[a]`` is the doubled prefix of the
+    symbol along the last axis (int32 while 2 d_{m-1} < 2^31, int64 beyond)
+    and ``totals[a]`` its int64 line counts; ``counts[a]`` is the symbol's
+    count in each orbit, a C x 1 x ... x 1 column.  A box window is the 1-D
+    circular window along each axis in turn: ``_slide`` on the stored prefix
+    along the last axis, then a fresh doubled prefix and ``_slide`` along
+    each further axis.
     """
 
     def __init__(self, points: np.ndarray, codes: np.ndarray, k_sym: int):
-        n_cycles, ell = points.shape
         self.points = points
-        self.length = ell
-        # prefix values reach 2l - 1; int32 halves the memory while that fits
-        dtype = np.int32 if 2 * ell < 2**31 else np.int64
+        self.dims = points.shape[1:]
+        self.size = points[0].size  # points per orbit
+        d = self.dims[-1]
+        # prefix values reach 2d - 1; int32 halves the memory while that fits
+        dtype = np.int32 if 2 * d < 2**31 else np.int64
         self.pref = []
         self.totals = []
+        self.counts = []
+        per_orbit = (len(points),) + (1,) * len(self.dims)
         for a in range(k_sym):
-            pref = np.zeros((n_cycles, 2 * ell), dtype=dtype)
-            np.cumsum(codes == a, axis=1, dtype=dtype, out=pref[:, 1:ell + 1])
-            pref[:, ell + 1:] = pref[:, 1:ell] + pref[:, ell:ell + 1]
+            pref = _doubled_prefix(codes == a, dtype)
+            totals = pref[..., d:d + 1].astype(np.int64)
             self.pref.append(pref)
-            self.totals.append(pref[:, ell:ell + 1].astype(np.int64))
-        self.fixed = np.zeros((n_cycles, 1), dtype=bool)
+            self.totals.append(totals)
+            self.counts.append(totals.reshape(len(points), -1).sum(axis=1).reshape(per_orbit))
+        self.fixed = np.zeros(per_orbit, dtype=bool)
 
-    def window(self, a: int, lo: int, side: int, stride: int = 1) -> np.ndarray:
-        """int64 counts of symbol a over g^j x, j in [lo, lo + side), for the
-        points at positions 0, stride, 2 stride, ... of every cycle.
+    def window(self, a: int, lows: Sequence[int], sides: Sequence[int],
+               stride: int = 1) -> np.ndarray:
+        """int64 counts of symbol a over the box of ``lows``/``sides`` from
+        every point, at every stride-th position of the last axis.  With
+        stride 1 the result is laid out like ``points``."""
+        w = _slide(self.pref[a], self.totals[a], lows[-1], sides[-1], stride)
+        for axis in range(1, len(self.dims)):
+            line = np.moveaxis(w, axis, -1)
+            pref = _doubled_prefix(line, np.int64)
+            d = line.shape[-1]
+            w = np.moveaxis(_slide(pref, pref[..., d:d + 1], lows[axis - 1], sides[axis - 1]),
+                            -1, axis)
+        return w
 
-        Position j < l - p, p = lo mod l, starts its window at p + j, the
-        rest at p + j - l: two strided slices of the doubled prefix.  With
-        stride 1 the result is laid out like ``points``.
+    def window_at(self, a: int, lows: Sequence[int], sides: Sequence[int],
+                  rows: np.ndarray, coords: Sequence[np.ndarray]) -> np.ndarray:
+        """The counts of :meth:`window` for the points at (rows, *coords).
+
+        Each point reads the last-axis prefix at every offset of the box's
+        further axes and sums those line windows.
         """
-        ell = self.length
-        laps, rem = divmod(side, ell)
-        p = lo % ell
+        ell = self.dims[-1]
+        laps, rem = divmod(sides[-1], ell)
+        m = len(self.dims)
+        # index arrays broadcast as (point, offset on axis 0, ..., axis m-2)
+        at = [rows.reshape((-1,) + (1,) * (m - 1))]
+        for axis in range(m - 1):
+            shape = [1] * m
+            shape[axis + 1] = -1
+            offs = lows[axis] + np.arange(sides[axis], dtype=np.int64).reshape(shape)
+            at.append((coords[axis].reshape((-1,) + (1,) * (m - 1)) + offs) % self.dims[axis])
+        start = ((coords[-1] + lows[-1]) % ell).reshape((-1,) + (1,) * (m - 1))
         pref = self.pref[a]
-        head = pref[:, p:ell:stride]
-        wrap = -(ell - p) % stride  # the first wrapped start
-        tail = pref[:, wrap:p:stride]
-        cut = head.shape[1]
-        w = np.empty((len(pref), cut + tail.shape[1]), dtype=np.int64)
-        np.subtract(pref[:, p + rem:ell + rem:stride], head, out=w[:, :cut])
-        np.subtract(pref[:, wrap + rem:p + rem:stride], tail, out=w[:, cut:])
+        w = np.subtract(pref[(*at, start + rem)], pref[(*at, start)], dtype=np.int64)
         if laps:
-            w += laps * self.totals[a]
-        return w
-
-    def window_at(self, a: int, lo: int, side: int, rows: np.ndarray,
-                  pos: np.ndarray) -> np.ndarray:
-        """The counts of :meth:`window` for the points at (rows, pos)."""
-        ell = self.length
-        laps, rem = divmod(side, ell)
-        start = (pos + lo) % ell
-        pref = self.pref[a]
-        w = np.subtract(pref[rows, start + rem], pref[rows, start], dtype=np.int64)
-        if laps:
-            w += laps * self.totals[a][rows, 0]
-        return w
+            w += laps * self.totals[a][(*at, 0)]
+        return w.sum(axis=tuple(range(1, m)))
 
 
 class _GoodSetEvaluator:
@@ -175,16 +222,18 @@ class _GoodSetEvaluator:
     A point is bad when some symbol's count in its tile window strays from
     the symbol's mass in its orbit (rewired side) or in the whole space
     (target side) by more than the tolerance; the bad count does not depend
-    on the order the points are visited in.  A single-generator factor is
-    therefore evaluated in chart order: its cycles, grouped by length into
-    ``_CycleBlock`` rows, whose windows are slice differences of per-cycle
-    prefixes, and only an accepted tile's mask is written back to point
-    order.  The orbit conditions do not depend on the tile and are counted
-    once, per cycle.  Each candidate is first screened on a column stride of
-    the blocks, an exact rejection test because bad points in the sample are
-    bad points outright, and the full pass early-exits once the bad count
-    crosses the threshold.  A factor of several generators keeps point order
-    and the tile's ``window_counts``.
+    on the order the points are visited in.  A factor whose orbits are all
+    aligned (``rohlin.orbit_alignment`` gives each its product coordinates),
+    which every single-generator factor is, is therefore evaluated in
+    product coordinates: orbits of one shape form one ``_OrbitBlock``, box
+    windows are slice differences of prefixes along each axis, and only an
+    accepted tile's mask is written back to point order.  The orbit
+    conditions do not depend on the tile and are counted once, per orbit.
+    Each candidate is first screened on a stride of the blocks' last axis,
+    an exact rejection test because bad points in the sample are bad points
+    outright, and the full pass early-exits once the bad count crosses the
+    threshold.  Only a factor with an unaligned orbit keeps point order and
+    the tile's ``window_counts``.
     """
 
     SUBSAMPLE_TARGET = 4096
@@ -198,42 +247,44 @@ class _GoodSetEvaluator:
         self.k_sym = k_sym = len(phi.alphabet)
         self.counts = np.bincount(phi.codes, minlength=k_sym).tolist()
         enum, eden = eps.numerator, eps.denominator
-        if len(f.charts) == 1:
-            chart = f.charts[0]
-            # the subsample screen reads every stride-th position of each cycle
+        aligned = orbit_alignment(f)
+        if all(al.dims is not None for al in aligned):
+            # the subsample screen reads every stride-th position of each line
             self.stride = max(1, n // self.SUBSAMPLE_TARGET)
-            codes = phi.codes[chart.order]
-            lengths, self.block_of = np.unique(chart.cycle_len, return_inverse=True)
-            self.row_of = np.empty(chart.n_cycles, dtype=np.int64)
+            shapes: dict[tuple[int, ...], list[int]] = {}
+            for o, al in enumerate(aligned):
+                shapes.setdefault(al.dims, []).append(o)
             self.blocks = []
-            for b, ell in enumerate(lengths.tolist()):
-                cycles = np.flatnonzero(self.block_of == b)
-                self.row_of[cycles] = np.arange(len(cycles))
-                if len(lengths) == 1:  # one length, as for every rotation
-                    blk = _CycleBlock(chart.order.reshape(-1, ell), codes.reshape(-1, ell),
-                                      k_sym)
-                else:
-                    listing = chart.cycle_start[cycles][:, None] + np.arange(ell)
-                    blk = _CycleBlock(chart.order[listing], codes[listing], k_sym)
+            # each orbit's block and row there, in orbit order
+            self.orbit_block = np.empty(len(aligned), dtype=np.int64)
+            self.orbit_row = np.empty(len(aligned), dtype=np.int64)
+            for b, dims in enumerate(sorted(shapes)):
+                orbits = shapes[dims]
+                self.orbit_block[orbits] = b
+                self.orbit_row[orbits] = np.arange(len(orbits))
+                coords = [aligned[o].coords for o in orbits]
+                # a lone orbit, as of every rotation, is read without a copy
+                points = coords[0] if len(coords) == 1 else np.concatenate(coords)
+                points = points.reshape((-1,) + dims)
+                blk = _OrbitBlock(points, phi.codes[points], k_sym)
                 if kind == "rewired":
-                    # orbits are the cycles; orbit-vs-global failures are
-                    # tile-independent
-                    for a, total in enumerate(blk.totals):
-                        blk.fixed |= np.abs(total * n - self.counts[a] * ell) * eden \
-                            > 2 * enum * ell * n
+                    # orbit-vs-global failures are tile-independent
+                    size = blk.size
+                    for a, count in enumerate(blk.counts):
+                        blk.fixed |= np.abs(count * n - self.counts[a] * size) * eden \
+                            > 2 * enum * size * n
                 self.blocks.append(blk)
-            self.n_fixed = sum(int(np.count_nonzero(b.fixed)) * b.length for b in self.blocks)
+            self.n_fixed = sum(int(np.count_nonzero(b.fixed)) * b.size for b in self.blocks)
         else:
             self.blocks = None
-            self.cells = [np.asarray(phi.codes == a, dtype=np.int64) for a in range(k_sym)]
+            self.codes = phi.codes
             self.fixed_bad = np.zeros(n, dtype=bool)
             if kind == "rewired":
                 od = f.orbits()
-                self.l_pt = od.sizes[od.orbit_id]
-                self.c_pt = []
+                self.orbit_counts = []
                 for a in range(k_sym):
-                    c_orb = np.bincount(od.orbit_id[self.cells[a] > 0], minlength=od.n_orbits)
-                    self.c_pt.append(c_orb[od.orbit_id])
+                    c_orb = np.bincount(od.orbit_id[phi.codes == a], minlength=od.n_orbits)
+                    self.orbit_counts.append(c_orb)
                     orb_bad = np.abs(c_orb * n - self.counts[a] * od.sizes) * eden \
                         > 2 * enum * od.sizes * n
                     self.fixed_bad |= orb_bad[od.orbit_id]
@@ -243,41 +294,32 @@ class _GoodSetEvaluator:
         # good mass > 1 - 2 eps  <=>  bad_count * eden < 2 * enum * n
         return n_bad * self.eps.denominator >= 2 * self.eps.numerator * self.n
 
-    def _far(self, w: np.ndarray, a: int, tsz: int, slack: int) -> np.ndarray:
-        """Windows w of symbol a off the global mass by more than slack*eps;
-        overwrites w."""
+    def _far(self, w: np.ndarray, count, size, tsz: int, slack: int = 1) -> np.ndarray:
+        """Windows w off the mass count/size by more than slack*eps,
+        |w/|T| - count/size| > slack*eps; overwrites w."""
         enum, eden = self.eps.numerator, self.eps.denominator
-        w *= self.n
-        w -= self.counts[a] * tsz
+        w *= size
+        w -= count * tsz
         np.abs(w, out=w)
         w *= eden
-        return w > slack * enum * tsz * self.n
+        return w > slack * enum * tsz * size
 
-    def _block_bad(self, blk: _CycleBlock, tile: Tile, a: int, stride: int) -> np.ndarray:
-        tsz = tile.size
-        w = blk.window(a, tile.dim_lows[0], tile.sides[0], stride)
+    def _block_bad(self, blk: _OrbitBlock, tile: Tile, a: int, stride: int) -> np.ndarray:
+        w = blk.window(a, tile.dim_lows, tile.sides, stride)
         if self.kind != "rewired":
-            return self._far(w, a, tsz, 3)
-        # |w/|T| - c/l| > eps against the cycle's own count c
-        enum, eden = self.eps.numerator, self.eps.denominator
-        ell = blk.length
-        w *= ell
-        w -= blk.totals[a] * tsz
-        np.abs(w, out=w)
-        w *= eden
-        return w > enum * tsz * ell
+            return self._far(w, self.counts[a], self.n, tile.size, 3)
+        return self._far(w, blk.counts[a], blk.size, tile.size)
 
     def _point_bad(self, tile: Tile, a: int) -> np.ndarray:
-        tsz = tile.size
-        w = self.f.window_counts(tile, self.cells[a])
+        w = self.f.window_counts(tile, self.codes == a)
         if self.kind != "rewired":
-            return self._far(w, a, tsz, 3)
-        enum, eden = self.eps.numerator, self.eps.denominator
-        return np.abs(w * self.l_pt - self.c_pt[a] * tsz) * eden > enum * tsz * self.l_pt
+            return self._far(w, self.counts[a], self.n, tile.size, 3)
+        od = self.f.orbits()
+        return self._far(w, self.orbit_counts[a][od.orbit_id], od.sizes[od.orbit_id], tile.size)
 
     def _blocks_bad(self, tile: Tile, stride: int) -> list[np.ndarray] | None:
         """Per block, its bad points among every stride-th position of each
-        cycle; None once their count crosses the threshold."""
+        line; None once their count crosses the threshold."""
         bad = [blk.fixed for blk in self.blocks]
         for a in range(self.k_sym):
             for i, blk in enumerate(self.blocks):
@@ -316,23 +358,32 @@ class _GoodSetEvaluator:
         triangle of the orbit and window conditions); slack is 3 for both
         sides.
         """
-        return not any(np.any(self._far(w, a, tile.size, slack))
+        return not any(np.any(self._far(w, self.counts[a], self.n, tile.size, slack))
                        for a, w in self._windows_at(tile, base.indices()))
 
     def _windows_at(self, tile: Tile, idx: np.ndarray):
         """(symbol, window counts) for the points idx, per symbol and block."""
         if self.blocks is None:
             for a in range(self.k_sym):
-                yield a, self.f.window_counts(tile, self.cells[a])[idx]
+                yield a, self.f.window_counts(tile, self.codes == a)[idx]
             return
-        chart = self.f.charts[0]
-        cyc = chart.cycle_of[idx]
-        in_block = self.block_of[cyc]
+        # each point's orbit and its offset in the orbit's coords
+        if len(self.f.charts) == 1:  # the orbits are the cycles, listed from their minimum
+            chart = self.f.charts[0]
+            orbit, offset = chart.cycle_of[idx], chart.pos[idx]
+        else:
+            orbit = self.f.orbits().orbit_id[idx]
+            offsets = np.empty(self.n, dtype=np.int64)
+            for blk in self.blocks:
+                offsets[blk.points] = np.arange(blk.size).reshape(blk.dims)
+            offset = offsets[idx]
+        in_block = self.orbit_block[orbit]
         for b, blk in enumerate(self.blocks):
             sel = in_block == b
-            rows, pos = self.row_of[cyc[sel]], chart.pos[idx[sel]]
+            rows = self.orbit_row[orbit[sel]]
+            coords = np.unravel_index(offset[sel], blk.dims)
             for a in range(self.k_sym):
-                yield a, blk.window_at(a, tile.dim_lows[0], tile.sides[0], rows, pos)
+                yield a, blk.window_at(a, tile.dim_lows, tile.sides, rows, coords)
 
 
 def equalize_bases(tw_a: Tower, tw_b: Tower) -> tuple[Tower, Tower]:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from orbitrewire import runner
-from orbitrewire.actions import CycleChart
+from orbitrewire.actions import CycleChart, FactorAction
 from orbitrewire.cli import main
 from orbitrewire.config import RunConfig, parse_rational
 from orbitrewire.errors import ConfigError, VerificationFailed
@@ -129,8 +129,18 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
     p = tmp_path / "nobeta.json"
     p.write_text(json.dumps(nobeta))
     assert main(["run", str(p)]) == 2
-    # ill-typed integer fields
-    for key, value in (("window", [[["x"]], [[1]]]), ("tile_cap", "abc")):
+    # ill-typed integer fields: no string, non-integral float or bool is
+    # truncated to an integer
+    for key, value in (("window", [[["x"]], [[1]]]), ("tile_cap", "abc"),
+                       ("window", [[[1.5]], [[1]]]), ("window", [[[True]], [[1]]]),
+                       ("tile_cap", 2.5), ("tile_cap", True),
+                       ("max_retries", 1.5), ("max_retries", False)):
+        assert main(["run", str(write_config(tmp_path, {key: value}))]) == 2
+    # a window coordinate beyond int64, and out-of-range tile_cap and eps'
+    for key, value in (("window", [[[10**30]], [[1]]]), ("window", [[[-2**63 - 1]], [[1]]]),
+                       ("tile_cap", 0), ("tile_cap", -5),
+                       ("eps_prime_override", "2"), ("eps_prime_override", "1"),
+                       ("eps_prime_override", "0")):
         assert main(["run", str(write_config(tmp_path, {key: value}))]) == 2
     # eps' too fine for exact int64 arithmetic at this space size
     cfg = write_config(tmp_path)
@@ -331,6 +341,18 @@ def test_shift_templates_never_build_charts_by_doubling(monkeypatch, tmp_path, o
 
     monkeypatch.setattr(CycleChart, "of", classmethod(refuse))
     _, report = execute(RunConfig.from_dict({**BASE_CONFIG, **overrides}))
+    path = tmp_path / "report.json"
+    path.write_bytes(report_json_bytes(report))
+    assert verify_report_file(path) is True
+
+
+def test_aligned_grid_runs_never_read_windows_in_point_order(monkeypatch, tmp_path):
+    def refuse(self, tile, values):
+        raise AssertionError("point-order window_counts reached")
+
+    monkeypatch.setattr(FactorAction, "window_counts", refuse)
+    _, report = execute(RunConfig.from_dict({**BASE_CONFIG, **GRID_CONFIG}))
+    assert report["final"]["orbit_equivalence"] is True
     path = tmp_path / "report.json"
     path.write_bytes(report_json_bytes(report))
     assert verify_report_file(path) is True

@@ -1,13 +1,18 @@
-"""Differential tests: the good-set evaluator in chart order against the
-point-order evaluator it replaced.
+"""Differential tests: the good-set evaluator in product coordinates against
+the point-order evaluator it replaced.
 
 ``PointOrderEvaluator`` below is the former ``rewiring._GoodSetEvaluator``,
 kept as a test-only oracle together with the per-point prefix windows it
 read.  The generated single-generator factors are rotations (some with
 gcd(step, N) > 1, so several cycles of one length), products of cycles,
 random permutations with unequal cycle lengths and fixed points, and
-torsion generators; tiles reach past a cycle length so windows wrap whole
-laps.  Grid factors check that the several-generator path kept point order.
+torsion generators.  The several-generator factors are disjoint unions of
+tori of different shapes, Z^2 x Z/c tori, skewed generators whose cycles
+still multiply to their orbits, all on randomly relabelled points so that
+an orbit's coordinate order is not index order, and factors with an
+unaligned orbit (two equal rotations), which must keep point order.  Tiles
+have negative lows and may reach past an orbit dimension, so windows wrap
+whole laps along every axis.
 """
 
 from fractions import Fraction
@@ -27,6 +32,7 @@ from orbitrewire import (
     box_tile,
 )
 from orbitrewire.rewiring import _GoodSetEvaluator
+from orbitrewire.rohlin import orbit_alignment
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -195,11 +201,65 @@ def single_generator_factors(draw) -> FactorAction:
     return _action(AbelianGroupSpec(0, (c,)), [_from_cycles(lengths, relabel)])
 
 
+def _relabelled(gens, relabel) -> list[np.ndarray]:
+    """The generators conjugated by the relabelling x -> relabel[x]."""
+    out = []
+    for fwd in gens:
+        moved = np.empty_like(fwd)
+        moved[relabel] = relabel[fwd]
+        out.append(moved)
+    return out
+
+
+def _tori(shapes, steps) -> list[np.ndarray]:
+    """Generator d shifts coordinate d of every torus by steps[d][d'] along
+    each coordinate d'; the tori of the given shapes lie side by side."""
+    gens = [[] for _ in steps]
+    start = 0
+    for dims in shapes:
+        coords = np.indices(dims).reshape(len(dims), -1)
+        size = coords.shape[1]
+        for gen, row in zip(gens, steps):
+            moved = (coords + np.asarray(row)[:, None]) % np.asarray(dims)[:, None]
+            gen.append(start + np.ravel_multi_index(tuple(moved), dims))
+        start += size
+    return [np.concatenate(g) for g in gens]
+
+
 @st.composite
 def grid_factors(draw) -> FactorAction:
-    a, b = draw(st.integers(1, 8)), draw(st.integers(2, 8))
-    i, j = np.divmod(np.arange(a * b), b)
-    return _action(AbelianGroupSpec(2), [((i + 1) % a) * b + j, i * b + (j + 1) % b])
+    kind = draw(st.sampled_from(("grid", "tori", "torsion", "skew", "unaligned")))
+    if kind == "unaligned":
+        # both generators are one rotation: a cycle of length l is an orbit
+        # of l points, not l * l, so it has no product coordinates
+        n = draw(st.integers(2, 40))
+        rot = (np.arange(n) + draw(st.integers(1, n - 1))) % n
+        gens, spec = [rot, rot], AbelianGroupSpec(2)
+    elif kind == "skew":
+        # g0 = (1, 1), g1 = (0, 1) on an a x a torus: one orbit whose cycles
+        # of length a multiply to it, in coordinates skewed from the index
+        a = draw(st.integers(1, 8))
+        gens, spec = _tori([(a, a)], [(1, 1), (0, 1)]), AbelianGroupSpec(2)
+    else:
+        c = 0
+        if kind == "torsion":
+            c = draw(st.sampled_from((2, 4, 6)))
+        shapes = []
+        for _ in range(draw(st.integers(1, 3)) if kind != "grid" else 1):
+            dims = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+            if c:
+                dims += (draw(st.sampled_from([d for d in range(1, c + 1) if c % d == 0])),)
+            shapes.append(dims)
+        # a step sharing a factor with its dimension splits the axis into
+        # several cycles
+        m = len(shapes[0])
+        steps = [[draw(st.integers(1, 3)) if d == e else 0 for e in range(m)]
+                 for d in range(m)]
+        gens = _tori(shapes, steps)
+        spec = AbelianGroupSpec(2, (c,) if c else ())
+    n = len(gens[0])
+    relabel = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+    return _action(spec, _relabelled(gens, relabel))
 
 
 @st.composite
@@ -244,9 +304,12 @@ def _assert_same_as_oracle(data, f):
     # small targets make the subsample screen run on these small spaces
     target = data.draw(st.sampled_from((4096, 2, 5)))
     n = f.space.n_points
+    aligned = all(al.dims is not None for al in orbit_alignment(f))
     for kind in ("rewired", "target"):
         new = _with_subsample(_GoodSetEvaluator, target)(f, phi, eps, kind)
         old = _with_subsample(PointOrderEvaluator, target)(f, phi, eps, kind)
+        # only a factor with an unaligned orbit keeps point order
+        assert (new.blocks is None) == (not aligned)
         for _ in range(3):
             tile = data.draw(tiles(f))
             got, want = new.evaluate(tile), old.evaluate(tile)
@@ -271,7 +334,7 @@ def test_single_generator_evaluator_matches_point_order(data):
     _assert_same_as_oracle(data, data.draw(single_generator_factors()))
 
 
-@settings(max_examples=30, deadline=None)
+@SETTINGS
 @given(st.data())
 def test_grid_evaluator_matches_point_order(data):
     _assert_same_as_oracle(data, data.draw(grid_factors()))
