@@ -14,8 +14,8 @@ Schema (all masses exact rationals):
       "beta":  [{"name": "rotation", "step": 1}, ...],
       "window": [[[1], [-1]], [[1]]],   # per factor: element coordinate rows
       "target_sets": [{"type": "interval", "start": 0, "length": 50000}, ...],
-      "eps_prime_override": null,       # optional exact rational
-      "tile_cap": 4000000,              # optional
+      "eps_prime_override": null,       # optional exact rational in (0, 1)
+      "tile_cap": 4000000,              # optional, at least 1
       "max_retries": 3,                 # optional, good-partition retries
       "ergodize_budget": null           # optional: enable target ergodization
     }
@@ -80,13 +80,13 @@ class RunConfig:
         if missing:
             raise ConfigError(f"config missing required keys: {missing}")
         n = d["space_size"]
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ConfigError(f"space_size must be a positive integer, got {n!r}")
         eps = parse_rational(d["epsilon"], "epsilon")
         if not 0 < eps < 1:
             raise ConfigError(f"epsilon must lie strictly between 0 and 1, got {eps}")
         seed = d["seed"]
-        if not isinstance(seed, int):
+        if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError("seed must be an integer")
         alpha, beta = d["alpha"], d["beta"]
         if not isinstance(alpha, list) or not alpha:

@@ -134,7 +134,8 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
     for key, value in (("window", [[["x"]], [[1]]]), ("tile_cap", "abc"),
                        ("window", [[[1.5]], [[1]]]), ("window", [[[True]], [[1]]]),
                        ("tile_cap", 2.5), ("tile_cap", True),
-                       ("max_retries", 1.5), ("max_retries", False)):
+                       ("max_retries", 1.5), ("max_retries", False),
+                       ("space_size", True), ("seed", True)):
         assert main(["run", str(write_config(tmp_path, {key: value}))]) == 2
     # a window coordinate beyond int64, and out-of-range tile_cap and eps'
     for key, value in (("window", [[[10**30]], [[1]]]), ("window", [[[-2**63 - 1]], [[1]]]),
