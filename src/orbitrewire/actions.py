@@ -7,10 +7,12 @@ differences, which keeps every tower/name/average computation linear in the
 space size instead of linear in |tile| * N.  ``window_sum`` gives such sums
 in point order.  The tile search reads a factor's orbits in product
 coordinates instead (``rewiring._GoodSetEvaluator``), because its bad counts
-do not depend on point order: a single generator's cycle listing, or the
-``rohlin.orbit_alignment`` coordinates of several generators.  Only a
-factor with an orbit that is not a product of its generator cycles still
-sums box windows in point order, by ``FactorAction.window_counts``.
+do not depend on point order: ``rohlin.orbit_alignment`` groups the orbits
+by shape into C x d_0 x ... x d_{m-1} point arrays, built by one chained
+``consecutive_images`` pass per shape (for a single generator the rows are
+its cycles).  Only a factor with an orbit that is not a product of its
+generator cycles still sums box windows in point order, by
+``FactorAction.window_counts``.
 
 A chart is its cycle listing: ``CycleChart(order, cycle_len)`` derives the
 per-point arrays in O(N), and every chart is made by that constructor.  The

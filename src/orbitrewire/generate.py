@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .actions import CycleChart, FactorAction, FreeProductSystem
+from .config import _integer
 from .errors import ConfigError
 from .groups import AbelianElement, AbelianGroupSpec
 from .space import FiniteSpace, Permutation, PointSet
@@ -93,8 +94,17 @@ def _product_cycle(space: FiniteSpace, dims: list[int], steps: list[int] | None)
 def _explicit(space: FiniteSpace, rank: int, torsion: list[int],
               arrays: list[list[int]]) -> FactorAction:
     spec = AbelianGroupSpec(rank, tuple(torsion))
-    gens = tuple(Permutation(space, np.asarray(a, dtype=np.int64)) for a in arrays)
+    parsed = [np.asarray(a) for a in arrays]
+    # floats and bools are refused whole, never truncated; integers beyond
+    # int64 parse as unsigned or object arrays and are refused too
+    if any(a.dtype.kind != "i" for a in parsed):
+        raise ConfigError("explicit arrays take int64 integers")
+    gens = tuple(Permutation(space, a) for a in parsed)
     return FactorAction(spec, space, gens)
+
+
+def _integers(template: dict, key: str) -> list[int]:
+    return [_integer(v, key) for v in template[key]]
 
 
 def generate_factor(space: FiniteSpace, template: dict) -> FactorAction:
@@ -104,16 +114,15 @@ def generate_factor(space: FiniteSpace, template: dict) -> FactorAction:
     name = template["name"]
     try:
         if name == "rotation":
-            return _rotation(space, int(template["step"]))
-        if name == "grid_shift":
-            return _grid_shift(space, [int(m) for m in template["dims"]],
-                               [int(s) for s in template["steps"]] if "steps" in template else None)
-        if name == "product_cycle":
-            return _product_cycle(space, [int(m) for m in template["dims"]],
-                                  [int(s) for s in template["steps"]] if "steps" in template else None)
+            return _rotation(space, _integer(template["step"], "step"))
+        if name in ("grid_shift", "product_cycle"):
+            build = _grid_shift if name == "grid_shift" else _product_cycle
+            return build(space, _integers(template, "dims"),
+                         _integers(template, "steps") if "steps" in template else None)
         if name == "explicit":
-            return _explicit(space, int(template.get("rank", 0)),
-                             list(template.get("torsion", [])), template["arrays"])
+            return _explicit(space, _integer(template.get("rank", 0), "rank"),
+                             [_integer(c, "torsion") for c in template.get("torsion", [])],
+                             template["arrays"])
     except ConfigError:
         raise
     except (KeyError, ValueError, TypeError) as exc:
@@ -154,21 +163,21 @@ def make_target_set(space: FiniteSpace, desc: dict) -> PointSet:
     n = space.n_points
     try:
         if kind == "interval":
-            start = int(desc["start"]) % n
-            length = int(desc["length"])
+            start = _integer(desc["start"], "start") % n
+            length = _integer(desc["length"], "length")
             if not 0 <= length <= n:
                 raise ConfigError(f"interval length {length} out of range")
             idx = (start + np.arange(length, dtype=np.int64)) % n
             return PointSet.from_indices(space, idx)
         if kind == "residue":
-            mod = int(desc["modulus"])
+            mod = _integer(desc["modulus"], "modulus")
             if mod < 1:
                 raise ConfigError("modulus must be positive")
-            residues = sorted({int(r) % mod for r in desc["residues"]})
+            residues = sorted({r % mod for r in _integers(desc, "residues")})
             mask = np.isin(np.arange(n, dtype=np.int64) % mod, residues)
             return PointSet(space, mask)
         if kind == "indices":
-            return PointSet.from_indices(space, [int(i) for i in desc["members"]])
+            return PointSet.from_indices(space, _integers(desc, "members"))
     except ConfigError:
         raise
     except (KeyError, ValueError, TypeError) as exc:

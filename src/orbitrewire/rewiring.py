@@ -19,11 +19,19 @@ weakly close to ``beta`` on a requested family of group elements and sets:
 Every inequality asserted here is the exact finite form of the corresponding
 step bound; violations raise coded errors instead of degrading silently.
 
+The tile search reads each factor's orbits as ``rohlin.orbit_alignment``
+gives them, grouped by shape into C x d_0 x ... x d_{m-1} point arrays: the
+candidate sides come from the shapes' dimensions, the coverage prefilter
+counts boxes per shape, and the good-set evaluator turns each shape into one
+``_OrbitBlock`` of prefix sums.  A factor with an orbit that is not a
+product of its generator cycles is evaluated in point order instead.
+
 A tower is its level array (``rohlin.Tower.levels``), built once when the
-tower is erected.  The columns (``ColumnData``) are arrays over it: both
-bases listed column by column, the alpha levels in that listing, and one
-row of |T| entries per column for the names, the matching and the matched
-set.  The rewiring reads those levels; only the budget builds its own level
+tower is erected; ``rohlin.tiling_base`` returns the tower it certified, and
+``rohlin_avoiding`` reads W's levels from it.  The columns (``ColumnData``)
+are arrays over it: both bases listed column by column, the alpha levels in
+that listing, and one row of |T| entries per column for the names, the
+matching and the matched set.  The rewiring reads those levels; only the budget builds its own level
 array, under the rewired action, so that it certifies independently.
 """
 
@@ -146,16 +154,16 @@ class _OrbitBlock:
     """The C orbits of one shape d_0 x ... x d_{m-1} of a factor whose orbits
     are all products of their generator cycles, as one C x d_0 x ... block.
 
+    ``points`` is the shape's point array from ``rohlin.orbit_alignment``:
     ``points[c, j_0, ..., j_{m-1}]`` is g_0^j_0 ... g_{m-1}^j_{m-1} x_c for
-    the first point x_c of the block's c-th orbit: the orbit's
-    ``rohlin.orbit_alignment`` coords.  For a single generator the rows are
-    its cycles.  Per symbol a, ``pref[a]`` is the doubled prefix of the
-    symbol along the last axis (int32 while 2 d_{m-1} < 2^31, int64 beyond)
-    and ``totals[a]`` its int64 line counts; ``counts[a]`` is the symbol's
-    count in each orbit, a C x 1 x ... x 1 column.  A box window is the 1-D
-    circular window along each axis in turn: ``_slide`` on the stored prefix
-    along the last axis, then a fresh doubled prefix and ``_slide`` along
-    each further axis.
+    the minimum x_c of the block's c-th orbit.  For a single generator the
+    rows are its cycles.  Per symbol a, ``pref[a]`` is the doubled prefix of
+    the symbol along the last axis (int32 while 2 d_{m-1} < 2^31, int64
+    beyond) and ``totals[a]`` its int64 line counts; ``counts[a]`` is the
+    symbol's count in each orbit, a C x 1 x ... x 1 column.  A box window is
+    the 1-D circular window along each axis in turn: ``_slide`` on the stored
+    prefix along the last axis, then a fresh doubled prefix and ``_slide``
+    along each further axis.
     """
 
     def __init__(self, points: np.ndarray, codes: np.ndarray, k_sym: int):
@@ -223,16 +231,15 @@ class _GoodSetEvaluator:
     the symbol's mass in its orbit (rewired side) or in the whole space
     (target side) by more than the tolerance; the bad count does not depend
     on the order the points are visited in.  A factor whose orbits are all
-    aligned (``rohlin.orbit_alignment`` gives each its product coordinates),
-    which every single-generator factor is, is therefore evaluated in
-    product coordinates: orbits of one shape form one ``_OrbitBlock``, box
-    windows are slice differences of prefixes along each axis, and only an
-    accepted tile's mask is written back to point order.  The orbit
-    conditions do not depend on the tile and are counted once, per orbit.
-    Each candidate is first screened on a stride of the blocks' last axis,
-    an exact rejection test because bad points in the sample are bad points
-    outright, and the full pass early-exits once the bad count crosses the
-    threshold.  Only a factor with an unaligned orbit keeps point order and
+    aligned, which every single-generator factor is, is therefore evaluated
+    in product coordinates: each orbit shape of ``rohlin.orbit_alignment``
+    is one ``_OrbitBlock``, box windows are slice differences of prefixes
+    along each axis, and only an accepted tile's mask is written back to
+    point order.  The orbit conditions do not depend on the tile and are
+    counted once, per orbit.  Each candidate is first screened on a stride
+    of the blocks' last axis, an exact rejection test because bad points in
+    the sample are bad points outright, and the full pass early-exits once
+    the bad count crosses the threshold.  Only a factor with an unaligned orbit keeps point order and
     the tile's ``window_counts``.
     """
 
@@ -247,26 +254,13 @@ class _GoodSetEvaluator:
         self.k_sym = k_sym = len(phi.alphabet)
         self.counts = np.bincount(phi.codes, minlength=k_sym).tolist()
         enum, eden = eps.numerator, eps.denominator
-        aligned = orbit_alignment(f)
-        if all(al.dims is not None for al in aligned):
+        alignment = orbit_alignment(f)
+        if not alignment.unaligned.size:
             # the subsample screen reads every stride-th position of each line
             self.stride = max(1, n // self.SUBSAMPLE_TARGET)
-            shapes: dict[tuple[int, ...], list[int]] = {}
-            for o, al in enumerate(aligned):
-                shapes.setdefault(al.dims, []).append(o)
             self.blocks = []
-            # each orbit's block and row there, in orbit order
-            self.orbit_block = np.empty(len(aligned), dtype=np.int64)
-            self.orbit_row = np.empty(len(aligned), dtype=np.int64)
-            for b, dims in enumerate(sorted(shapes)):
-                orbits = shapes[dims]
-                self.orbit_block[orbits] = b
-                self.orbit_row[orbits] = np.arange(len(orbits))
-                coords = [aligned[o].coords for o in orbits]
-                # a lone orbit, as of every rotation, is read without a copy
-                points = coords[0] if len(coords) == 1 else np.concatenate(coords)
-                points = points.reshape((-1,) + dims)
-                blk = _OrbitBlock(points, phi.codes[points], k_sym)
+            for shape in alignment.shapes:
+                blk = _OrbitBlock(shape.points, phi.codes[shape.points], k_sym)
                 if kind == "rewired":
                     # orbit-vs-global failures are tile-independent
                     size = blk.size
@@ -367,21 +361,18 @@ class _GoodSetEvaluator:
             for a in range(self.k_sym):
                 yield a, self.f.window_counts(tile, self.codes == a)[idx]
             return
-        # each point's orbit and its offset in the orbit's coords
-        if len(self.f.charts) == 1:  # the orbits are the cycles, listed from their minimum
-            chart = self.f.charts[0]
-            orbit, offset = chart.cycle_of[idx], chart.pos[idx]
-        else:
-            orbit = self.f.orbits().orbit_id[idx]
-            offsets = np.empty(self.n, dtype=np.int64)
-            for blk in self.blocks:
-                offsets[blk.points] = np.arange(blk.size).reshape(blk.dims)
-            offset = offsets[idx]
-        in_block = self.orbit_block[orbit]
-        for b, blk in enumerate(self.blocks):
+        # one scatter numbers every point by its place in the blocks laid end
+        # to end; that place gives its block, row and coordinates
+        ends = np.cumsum([blk.points.size for blk in self.blocks])
+        offset = np.empty(self.n, dtype=np.int64)
+        for blk, end in zip(self.blocks, ends):
+            offset[blk.points.ravel()] = np.arange(end - blk.points.size, end)
+        at = offset[idx]
+        in_block = np.searchsorted(ends, at, side="right")
+        for b, (blk, end) in enumerate(zip(self.blocks, ends)):
             sel = in_block == b
-            rows = self.orbit_row[orbit[sel]]
-            coords = np.unravel_index(offset[sel], blk.dims)
+            rows, *coords = np.unravel_index(at[sel] - (end - blk.points.size),
+                                             blk.points.shape)
             for a in range(self.k_sym):
                 yield a, blk.window_at(a, tile.dim_lows, tile.sides, rows, coords)
 
@@ -431,15 +422,17 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
         dimension lengths (full block packing) and the near-full band of
         each length (single-block packing).  The exact coverage prefilter
         below still vets every candidate."""
-        cand: set[int] = set()
+        lengths: set[int] = set()
         for f in (alpha_i, beta_i):
-            for al in orbit_alignment(f):
-                lengths = ([al.dims[d] for d in range(r)]
-                           if al.dims is not None else [al.size])
-                for length in lengths:
-                    cand.update(s for s in _divisors(length) if s >= 2)
-                    lo_band = max(2, int((1 - 4 * eps) * length) + 1)
-                    cand.update(range(lo_band, length + 1))
+            alignment = orbit_alignment(f)
+            for shape in alignment.shapes:
+                lengths.update(shape.dims[:r])
+            lengths.update(f.orbits().sizes[alignment.unaligned].tolist())
+        cand: set[int] = set()
+        for length in lengths:
+            cand.update(s for s in _divisors(length) if s >= 2)
+            lo_band = max(2, int((1 - 4 * eps) * length) + 1)
+            cand.update(range(lo_band, length + 1))
         return sorted(cand)
 
     if r == 0:
@@ -451,9 +444,7 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
 
     # the aligned-coverage prefilter is exact unless some orbit lacks product
     # structure; only then may a small model fall through to the greedy sweep
-    has_unaligned = any(
-        al.dims is None for f in (alpha_i, beta_i) for al in orbit_alignment(f)
-    )
+    has_unaligned = any(orbit_alignment(f).unaligned.size for f in (alpha_i, beta_i))
     small_model = has_unaligned and n * torsion_size <= 2_000_000
 
     eval_a = _GoodSetEvaluator(alpha_i, phi, eps, "rewired")
@@ -887,18 +878,26 @@ def _first_split(ids: np.ndarray, other: np.ndarray) -> int | None:
     return int(order[split[0]]) if split.size else None
 
 
+def _constant_on_classes(ids: np.ndarray, other: np.ndarray) -> bool:
+    """Whether ``other`` is constant on every class of ``ids`` (ids in
+    [0, n)): one scatter picks a representative per class, in O(N)."""
+    rep = np.zeros(int(ids.max()) + 1, dtype=np.int64)
+    rep[ids] = np.arange(len(ids), dtype=np.int64)
+    return bool(np.array_equal(other[rep[ids]], other))
+
+
 def verify_orbit_equivalence(alpha: FreeProductSystem, gamma: FreeProductSystem,
                              r: Permutation) -> tuple[bool, str | None]:
-    """Whether gamma's full orbit partition is the r-image of alpha's."""
+    """Whether gamma's full orbit partition is the r-image of alpha's.
+
+    Two partitions are equal iff each one's ids are constant on the other's
+    classes; only a failed check sorts, to name the first separating point.
+    """
     if alpha.space != gamma.space or r.space != alpha.space:
         raise SpecMismatch("systems and conjugator must share one space")
     g_ids = gamma.full_orbit_decomposition().orbit_id
     a_ids = alpha.full_orbit_decomposition().orbit_id[r.inverse_array]
-    pairs = g_ids * (int(a_ids.max()) + 1) + a_ids
-    n_pairs = len(np.unique(pairs))
-    n_g = len(np.unique(g_ids))
-    n_a = len(np.unique(a_ids))
-    if n_pairs == n_g == n_a:
+    if _constant_on_classes(g_ids, a_ids) and _constant_on_classes(a_ids, g_ids):
         return True, None
     for ids, other in ((g_ids, a_ids), (a_ids, g_ids)):
         x = _first_split(ids, other)

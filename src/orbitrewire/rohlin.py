@@ -1,12 +1,20 @@
 """Tiling bases and the Rohlin tower construction with an avoidance set.
 
+``orbit_alignment`` reads a factor's orbits in product coordinates: an orbit
+whose generator cycle lengths d_0, ..., d_{m-1} multiply to its size is the
+product of those cycles, and the orbits of one shape form one
+``OrbitShape``, a C x d_0 x ... x d_{m-1} array of points.  The tiling, the
+coverage prefilter and the tile search (``rewiring._GoodSetEvaluator``) all
+read that one structure, built once per factor.
+
 ``tiling_base`` produces a base set W whose tile translates {tW} are pairwise
 disjoint and cover as much of the space as the orbit structure allows.  On
-aligned models (every orbit a product of cycles whose lengths are divisible
-by the box sides, with torsion cycles of full modulus length) coverage is
-exactly 1; otherwise per-dimension block packing still covers all complete
-blocks, and a literal greedy sweep handles orbits without product structure,
-reporting achieved coverage honestly.
+every orbit shape the box fits (each side at most its dimension, torsion
+dimensions of full modulus length) it packs the complete boxes, by one
+strided slice over all the shape's orbits, so aligned models whose
+dimensions the sides divide are covered exactly; a literal greedy sweep
+handles the remaining orbits, reporting achieved coverage honestly.  It
+returns the ``Tower`` it certified.
 
 ``rohlin_avoiding`` upgrades a base to one avoiding a given small set: among
 all tile shifts of W it picks the one meeting the avoidance set least
@@ -18,6 +26,7 @@ coverage > 1 - eps whenever the avoidance set has mass < eps/2.  The
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,65 +41,72 @@ GREEDY_COST_CAP = 30_000_000
 
 
 @dataclass
-class OrbitAlignment:
-    """Product-of-cycles structure of one orbit, if it has one.
+class OrbitShape:
+    """The C orbits of one shape d_0 x ... x d_{m-1}, in product coordinates.
 
-    ``dims`` holds the per-generator cycle lengths inside the orbit and
-    ``coords`` lists the orbit's points in row-major coordinate order
-    (both None when the orbit is not a product of its generator cycles).
+    ``points[c, j_0, ..., j_{m-1}]`` is g_0^j_0 ... g_{m-1}^j_{m-1} x_c for
+    the minimum x_c of the c-th orbit, whose index in ``f.orbits()`` is
+    ``orbits[c]``; the orbits appear in increasing order.
     """
 
+    dims: tuple[int, ...]
+    orbits: np.ndarray
     points: np.ndarray
-    size: int
-    dims: tuple[int, ...] | None
-    coords: np.ndarray | None
+
+    def boxes(self, sides) -> int:
+        """Disjoint boxes of these sides one orbit holds in its coordinates:
+        0 when a side exceeds its dimension.  A torsion side is its full
+        modulus, which the dimension divides, so it fits only at full length."""
+        return math.prod(d // s for d, s in zip(self.dims, sides))
 
 
-def orbit_alignment(f: FactorAction) -> list[OrbitAlignment]:
-    """Per-orbit product-coordinate structure, cached on the action."""
+@dataclass
+class Alignment:
+    """A factor's orbits grouped by shape (by increasing ``dims``), and the
+    indices of the orbits that are not products of their generator cycles."""
+
+    shapes: list[OrbitShape]
+    unaligned: np.ndarray
+
+
+def orbit_alignment(f: FactorAction) -> Alignment:
+    """The factor's orbits in product coordinates, cached on the action.
+
+    Commuting generators have one cycle length d_i per orbit, and
+    j -> g^j x_0 maps Z/d_0 x ... x Z/d_{m-1} onto the orbit of x_0, so it is
+    a bijection exactly when the d_i multiply to the orbit size: the sizes
+    decide alignment without a look at the points.  Each shape takes its
+    points by one chained ``consecutive_images`` pass over its orbit minima.
+    """
     if "alignment" in f._memo:
         return f._memo["alignment"]
     od = f.orbits()
-    out: list[OrbitAlignment] = []
-    n_dims = len(f.charts)
-    # arr below has len(orbit) points, all in the orbit, so it is injective
-    # iff it covers the orbit; one mask serves every orbit
-    hit = np.zeros(f.space.n_points, dtype=bool)
-    for orbit in od.orbits:
-        x0 = int(orbit[0])
-        dims = tuple(int(f.charts[d].cycle_len[f.charts[d].cycle_of[x0]]) for d in range(n_dims))
-        prod = 1
-        for L in dims:
-            prod *= L
-        coords = None
-        if prod == len(orbit):
-            arr = np.array([x0], dtype=np.int64)
-            for d in range(n_dims - 1, -1, -1):
-                arr = f.charts[d].consecutive_images(arr, 0, dims[d])
-            hit[arr] = True
-            if np.count_nonzero(hit[orbit]) == arr.size:
-                coords = arr
-            hit[arr] = False
-        if coords is None:
-            dims = None
-        out.append(OrbitAlignment(orbit, len(orbit), dims, coords))
+    n = f.space.n_points
+    # orbits are numbered by increasing minimum, and each is a union of the
+    # first generator's cycles, whose heads (minima) ascend too: orbit k's
+    # minimum is the first head whose orbit id reaches k
+    c0 = f.charts[0]
+    heads = c0.order[c0.cycle_start]
+    mins = heads[np.diff(np.maximum.accumulate(od.orbit_id[heads]), prepend=-1) > 0]
+    dims = np.stack([c.cycle_len[c.cycle_of[mins]] for c in f.charts], axis=1)
+    prod = np.ones(len(mins), dtype=np.int64)
+    for col in dims.T:
+        prod = np.minimum(prod * col, n + 1)  # capped, so it never overflows
+    aligned = np.flatnonzero(prod == od.sizes)
+    shapes = []
+    rows, shape_of = np.unique(dims[aligned], axis=0, return_inverse=True)
+    for s, row in enumerate(rows):
+        shape = tuple(int(d) for d in row)
+        orbits = aligned[shape_of.ravel() == s]
+        arr = mins[orbits]
+        for d in range(len(shape) - 1, -1, -1):
+            arr = f.charts[d].consecutive_images(arr, 0, shape[d])
+        # consecutive_images lists the orbits last; a lone orbit needs no copy
+        points = np.ascontiguousarray(np.moveaxis(arr.reshape(shape + (len(orbits),)), -1, 0))
+        shapes.append(OrbitShape(shape, orbits, points))
+    out = Alignment(shapes, np.flatnonzero(prod != od.sizes))
     f._memo["alignment"] = out
     return out
-
-
-def _tile_fits(f: FactorAction, t: Tile, al: OrbitAlignment) -> bool:
-    if al.dims is None:
-        return False
-    r = f.spec.rank
-    for d, side in enumerate(t.sides):
-        if d < r:
-            if side > al.dims[d]:
-                return False
-        else:
-            # full torsion component only injects when the orbit realizes it
-            if al.dims[d] != f.spec.torsion_moduli[d - r]:
-                return False
-    return True
 
 
 def max_aligned_coverage(f: FactorAction, sides: tuple[int, ...], tile_size: int) -> Fraction:
@@ -100,39 +116,14 @@ def max_aligned_coverage(f: FactorAction, sides: tuple[int, ...], tile_size: int
     lower bound on what ``tiling_base`` achieves and is cheap enough to use
     as a tile-search prefilter.
     """
-    covered = 0
-    r = f.spec.rank
-    for al in orbit_alignment(f):
-        if al.dims is None:
-            continue
-        ok = True
-        blocks = 1
-        for d, side in enumerate(sides):
-            if d >= r and al.dims[d] != f.spec.torsion_moduli[d - r]:
-                ok = False
-                break
-            if side > al.dims[d]:
-                ok = False
-                break
-            blocks *= al.dims[d] // side
-        if ok:
-            covered += blocks * tile_size
-    return Fraction(covered, f.space.n_points)
+    boxes = sum(len(s.orbits) * s.boxes(sides) for s in orbit_alignment(f).shapes)
+    return Fraction(boxes * tile_size, f.space.n_points)
 
 
-def _aligned_base_points(f: FactorAction, t: Tile, al: OrbitAlignment) -> np.ndarray:
-    allowed = []
-    for lo, side, L in zip(t.dim_lows, t.sides, al.dims):
-        blocks = L // side
-        allowed.append(-lo + side * np.arange(blocks, dtype=np.int64))
-    grid = al.coords.reshape(al.dims)
-    return grid[np.ix_(*allowed)].ravel()
-
-
-def _greedy_base_points(f: FactorAction, t: Tile, orbit: np.ndarray,
-                        covered: np.ndarray) -> list[int]:
+def _greedy_base_points(f: FactorAction, t: Tile, sweep: np.ndarray) -> list[int]:
+    covered = np.zeros(f.space.n_points, dtype=bool)
     picked = []
-    for x in orbit:
+    for x in sweep:
         idx = f.tile_images(t, int(x))
         if np.unique(idx).size != idx.size:
             continue
@@ -143,12 +134,14 @@ def _greedy_base_points(f: FactorAction, t: Tile, orbit: np.ndarray,
     return picked
 
 
-def tiling_base(f: FactorAction, t: Tile, coverage_floor=None) -> PointSet:
-    """Base set W with {tW} pairwise disjoint, maximizing coverage.
+def tiling_base(f: FactorAction, t: Tile, coverage_floor=None) -> Tower:
+    """The tower of ``t`` over a base W with {tW} pairwise disjoint,
+    maximizing coverage.
 
-    Exact block packing on orbits with product-cycle coordinates; greedy
-    index-order sweep elsewhere (guarded by a cost cap).  Raises
-    TILE_TOO_LARGE when the tile cannot fit in the smallest orbit and
+    Exact box packing on the orbit shapes the tile fits; greedy index-order
+    sweep over the other orbits (guarded by a cost cap), which needs no
+    knowledge of the packed ones because a tile never leaves its orbit.
+    Raises TILE_TOO_LARGE when the tile cannot fit in the smallest orbit and
     COVERAGE_SHORTFALL when the achieved coverage falls below the caller's
     floor.
     """
@@ -159,33 +152,24 @@ def tiling_base(f: FactorAction, t: Tile, coverage_floor=None) -> PointSet:
         raise TileTooLarge(
             f"tile of size {t.size} exceeds smallest orbit size {od.min_orbit_size()}"
         )
-    n = f.space.n_points
     base_points: list[np.ndarray] = []
-    greedy_orbits: list[np.ndarray] = []
-    for al in orbit_alignment(f):
-        if _tile_fits(f, t, al):
-            base_points.append(_aligned_base_points(f, t, al))
-        else:
-            greedy_orbits.append(al.points)
-    if greedy_orbits:
-        cost = sum(len(o) for o in greedy_orbits) * t.size
-        if cost > GREEDY_COST_CAP:
+    greedy = np.ones(od.n_orbits, dtype=bool)
+    for shape in orbit_alignment(f).shapes:
+        if shape.boxes(t.sides):
+            greedy[shape.orbits] = False
+            corners = tuple(slice(-lo, -lo + side * (d // side), side)
+                            for lo, side, d in zip(t.dim_lows, t.sides, shape.dims))
+            base_points.append(shape.points[(slice(None),) + corners].ravel())
+    if greedy.any():
+        sweep = np.flatnonzero(greedy[od.orbit_id])
+        if sweep.size * t.size > GREEDY_COST_CAP:
             raise CoverageShortfall(
                 "orbits without product structure are too large for the greedy sweep"
             )
-        covered = np.zeros(n, dtype=bool)
-        for pts in base_points:
-            covered[f.tile_images(t, pts)] = True
-        sweep = np.sort(np.concatenate(greedy_orbits))
-        picked = _greedy_base_points(f, t, sweep, covered)
-        if picked:
-            base_points.append(np.array(picked, dtype=np.int64))
-    if base_points:
-        w_idx = np.concatenate(base_points)
-    else:
-        w_idx = np.array([], dtype=np.int64)
-    w = PointSet.from_indices(f.space, w_idx)
-    support, disjoint = tower_support(f, t, w)
+        base_points.append(np.array(_greedy_base_points(f, t, sweep), dtype=np.int64))
+    # every orbit is packed or swept, so base_points is never empty
+    tower = Tower.over(f, t, PointSet.from_indices(f.space, np.concatenate(base_points)))
+    support, disjoint = tower_support(tower)
     if not disjoint:
         raise CoverageShortfall("internal error: constructed base has overlapping levels")
     coverage = measure(support)
@@ -194,12 +178,15 @@ def tiling_base(f: FactorAction, t: Tile, coverage_floor=None) -> PointSet:
             f"achieved coverage {coverage} below floor {coverage_floor}",
             coverage=coverage,
         )
-    return w
+    return tower
 
 
-def tower_support(f: FactorAction, t: Tile, base: PointSet) -> tuple[PointSet, bool]:
-    """Union of all levels {t . base} and whether they are pairwise disjoint."""
-    return Tower.over(f, t, base).support()
+def tower_support(tower: Tower) -> tuple[PointSet, bool]:
+    """Union of a tower's levels and whether they are pairwise disjoint."""
+    space = tower.base.space
+    mask = np.zeros(space.n_points, dtype=bool)
+    mask[tower.levels] = True
+    return PointSet(space, mask), int(np.count_nonzero(mask)) == tower.levels.size
 
 
 @dataclass
@@ -222,13 +209,6 @@ class Tower:
              factor_index: int | None = None) -> Tower:
         """The tower of ``tile`` over ``base`` under the action ``f``."""
         return cls(tile, base, f.tile_images(tile, base.indices()), factor_index)
-
-    def support(self) -> tuple[PointSet, bool]:
-        """Union of the levels and whether they are pairwise disjoint."""
-        space = self.base.space
-        mask = np.zeros(space.n_points, dtype=bool)
-        mask[self.levels] = True
-        return PointSet(space, mask), int(np.count_nonzero(mask)) == self.levels.size
 
     def trimmed(self, size: int) -> Tower:
         """The tower over the ``size`` lowest-index base points."""
@@ -280,19 +260,19 @@ def rohlin_avoiding(f: FactorAction, t: Tile, eps, avoid: PointSet,
     floor = 1 - eps / 2
     w = tiling_base(f, t, coverage_floor=floor)
     # tiling_base certified the levels of W disjoint, so they cover |T||W|
-    coverage = Fraction(t.size * w.size, f.space.n_points)
+    coverage = Fraction(t.size * w.base.size, f.space.n_points)
     if coverage <= floor:
         raise CoverageShortfall(
             f"tiling base coverage {coverage} not strictly above {floor}"
         )
     # per tile element, how much its copy of W meets the avoidance set
-    hits = np.count_nonzero(avoid.mask[f.tile_images(t, w.indices())], axis=1)
+    hits = np.count_nonzero(avoid.mask[w.levels], axis=1)
     t0_index = int(np.argmin(hits))
     t0 = t.element_at(t0_index)
-    shifted = f.element_image_set(t0, w)
+    shifted = f.element_image_set(t0, w.base)
     base = shifted - avoid
     tower = Tower.over(f, t, base, factor_index)
-    support_b, disjoint = tower.support()
+    support_b, disjoint = tower_support(tower)
     if not disjoint:
         raise CoverageShortfall("internal error: shifted base has overlapping levels")
     if measure(support_b) <= 1 - eps:
@@ -306,7 +286,7 @@ def rohlin_avoiding(f: FactorAction, t: Tile, eps, avoid: PointSet,
 
 def verify_tower(tw: Tower, f: FactorAction, avoid: PointSet | None = None) -> TowerReport:
     """Re-check disjointness, coverage, and (optionally) avoidance."""
-    support, disjoint = tower_support(f, tw.tile, tw.base)
+    support, disjoint = tower_support(Tower.over(f, tw.tile, tw.base))
     avoid_clear = None
     if avoid is not None:
         avoid_clear = (tw.base & avoid).size == 0

@@ -133,9 +133,6 @@ class PointSet:
         same_space(self, other)
         return PointSet(self.space, self.mask & ~other.mask)
 
-    def complement(self) -> "PointSet":
-        return PointSet(self.space, ~self.mask)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PointSet)

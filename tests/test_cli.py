@@ -93,6 +93,45 @@ def test_steps_beyond_int64_reduce_modulo_the_cycle(template):
     assert got == generate_system(sp, [small]).factors[0].gens
 
 
+@pytest.mark.parametrize("template", [
+    {"name": "rotation", "step": 1.9},
+    {"name": "rotation", "step": True},
+    {"name": "grid_shift", "dims": [6, 6.5]},
+    {"name": "grid_shift", "dims": [6, 6], "steps": [1, False]},
+    {"name": "product_cycle", "dims": [True, 36]},
+    {"name": "product_cycle", "dims": [6, 6], "steps": [0.5, 1]},
+    {"name": "explicit", "rank": 1.5, "arrays": [list(range(1, 36)) + [0]]},
+    {"name": "explicit", "rank": 0, "torsion": [36.5], "arrays": [list(range(1, 36)) + [0]]},
+    {"name": "explicit", "rank": 1, "arrays": [[1.9, 2.2, 3.0, 0.5] + list(range(4, 36))]},
+    {"name": "explicit", "rank": 1, "arrays": [[float(i) for i in range(1, 36)] + [0.0]]},
+    # on two points [true, false] would read as the swap [1, 0]
+    {"name": "explicit", "rank": 1, "arrays": [[True, False]]},
+], ids=["step-float", "step-bool", "dims-float", "steps-bool", "product-dims-bool",
+        "product-steps-float", "rank-float", "torsion-float", "arrays-float",
+        "arrays-integral-float", "arrays-bool"])
+def test_template_integers_are_never_truncated(tmp_path, template):
+    n = 2 if template.get("arrays") == [[True, False]] else 36
+    with pytest.raises(ConfigError):
+        generate_system(FiniteSpace(n), [template])
+    cfg = write_config(tmp_path, {"space_size": n, "alpha": [template] * 2})
+    assert main(["run", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("desc", [
+    {"type": "interval", "start": 1.5, "length": 4},
+    {"type": "interval", "start": 0, "length": True},
+    {"type": "residue", "modulus": 2.5, "residues": [0]},
+    {"type": "residue", "modulus": 2, "residues": [0.5]},
+    {"type": "indices", "members": [1.7, True]},
+    {"type": "indices", "members": [1, False]},
+], ids=["start-float", "length-bool", "modulus-float", "residues-float",
+        "members-float-and-bool", "members-bool"])
+def test_target_set_integers_are_never_truncated(tmp_path, desc):
+    with pytest.raises(ConfigError):
+        make_target_set(FiniteSpace(10), desc)
+    assert main(["run", str(write_config(tmp_path, {"target_sets": [desc]}))]) == 2
+
+
 def test_make_target_set_kinds():
     sp = FiniteSpace(10)
     assert make_target_set(sp, {"type": "interval", "start": 8, "length": 4}).members == {8, 9, 0, 1}

@@ -1,23 +1,29 @@
-"""Differential tests: the good-set evaluator in product coordinates against
-the point-order evaluator it replaced.
+"""Differential tests: the product-coordinate view of a factor's orbits and
+the good-set evaluator and tiling that read it, against the per-orbit and
+point-order code they replaced.
 
 ``PointOrderEvaluator`` below is the former ``rewiring._GoodSetEvaluator``,
 kept as a test-only oracle together with the per-point prefix windows it
-read.  The generated single-generator factors are rotations (some with
-gcd(step, N) > 1, so several cycles of one length), products of cycles,
-random permutations with unequal cycle lengths and fixed points, and
-torsion generators.  The several-generator factors are disjoint unions of
-tori of different shapes, Z^2 x Z/c tori, skewed generators whose cycles
+read.  ``orbit_alignment_loop`` is the former per-orbit
+``rohlin.orbit_alignment``, and ``tiling_base_loop`` the per-orbit packing
+that read it; they are the oracles of the shape blocks and of
+``tiling_base``.  The generated single-generator factors are rotations
+(some with gcd(step, N) > 1, so several cycles of one length), products of
+cycles, random permutations with unequal cycle lengths and fixed points,
+and torsion generators.  The several-generator factors are disjoint unions
+of tori of different shapes, Z^2 x Z/c tori, skewed generators whose cycles
 still multiply to their orbits, all on randomly relabelled points so that
-an orbit's coordinate order is not index order, and factors with an
-unaligned orbit (two equal rotations), which must keep point order.  Tiles
-have negative lows and may reach past an orbit dimension, so windows wrap
-whole laps along every axis.
+an orbit's coordinate order is not index order, factors with an unaligned
+orbit (two equal rotations), which must keep point order, and mixed factors
+holding an aligned torus, an unaligned orbit and a torus too small for most
+tiles.  Tiles have negative lows and may reach past an orbit dimension, so
+windows wrap whole laps along every axis.
 """
 
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import Z
@@ -30,9 +36,11 @@ from orbitrewire import (
     Permutation,
     PointSet,
     box_tile,
+    measure,
 )
+from orbitrewire.errors import TileTooLarge
 from orbitrewire.rewiring import _GoodSetEvaluator
-from orbitrewire.rohlin import orbit_alignment
+from orbitrewire.rohlin import max_aligned_coverage, orbit_alignment, tiling_base, tower_support
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -154,6 +162,57 @@ class PointOrderEvaluator:
 
 
 # ---------------------------------------------------------------------------
+# oracles: the per-orbit alignment and packing
+# ---------------------------------------------------------------------------
+
+def orbit_alignment_loop(f):
+    """Per orbit: its points, and its dims and row-major coords when it is a
+    product of its generator cycles (both None otherwise)."""
+    out = []
+    hit = np.zeros(f.space.n_points, dtype=bool)
+    for orbit in f.orbits().orbits:
+        x0 = int(orbit[0])
+        dims = tuple(int(c.cycle_len[c.cycle_of[x0]]) for c in f.charts)
+        coords = None
+        if int(np.prod(dims)) == len(orbit):
+            arr = np.array([x0], dtype=np.int64)
+            for d in range(len(dims) - 1, -1, -1):
+                arr = f.charts[d].consecutive_images(arr, 0, dims[d])
+            hit[arr] = True
+            if np.count_nonzero(hit[orbit]) == arr.size:
+                coords = arr
+            hit[arr] = False
+        out.append((orbit, dims if coords is not None else None, coords))
+    return out
+
+
+def tiling_base_loop(f, t):
+    """The former base set: boxes on every aligned orbit the tile fits, then
+    the greedy sweep over the other orbits with the boxes' levels marked."""
+    base, greedy = [], []
+    r = f.spec.rank
+    for orbit, dims, coords in orbit_alignment_loop(f):
+        fits = dims is not None and all(
+            side <= dims[d] if d < r else dims[d] == f.spec.torsion_moduli[d - r]
+            for d, side in enumerate(t.sides))
+        if not fits:
+            greedy.append(orbit)
+            continue
+        allowed = [-lo + side * np.arange(L // side) for lo, side, L in
+                   zip(t.dim_lows, t.sides, dims)]
+        base.append(coords.reshape(dims)[np.ix_(*allowed)].ravel())
+    covered = np.zeros(f.space.n_points, dtype=bool)
+    for pts in base:
+        covered[f.tile_images(t, pts)] = True
+    for x in np.sort(np.concatenate(greedy)) if greedy else []:
+        idx = f.tile_images(t, int(x))
+        if np.unique(idx).size == idx.size and not covered[idx].any():
+            covered[idx] = True
+            base.append(np.array([x]))
+    return PointSet.from_indices(f.space, np.concatenate(base) if base else [])
+
+
+# ---------------------------------------------------------------------------
 # generated factors, labelings and tiles
 # ---------------------------------------------------------------------------
 
@@ -228,8 +287,17 @@ def _tori(shapes, steps) -> list[np.ndarray]:
 
 @st.composite
 def grid_factors(draw) -> FactorAction:
-    kind = draw(st.sampled_from(("grid", "tori", "torsion", "skew", "unaligned")))
-    if kind == "unaligned":
+    kind = draw(st.sampled_from(("grid", "tori", "torsion", "skew", "unaligned", "mixed")))
+    if kind == "mixed":
+        # an aligned torus, a torus too small for most tiles and an unaligned
+        # orbit of both generators being one rotation, side by side
+        big = (draw(st.integers(3, 8)), draw(st.integers(3, 8)))
+        small = draw(st.sampled_from(((2, 2), (1, 3), (3, 1), (1, 4))))
+        tori = _tori([big, small], [(1, 0), (0, 1)])
+        m = draw(st.integers(4, 12))
+        rot = len(tori[0]) + (np.arange(m) + 1) % m
+        gens, spec = [np.concatenate([g, rot]) for g in tori], AbelianGroupSpec(2)
+    elif kind == "unaligned":
         # both generators are one rotation: a cycle of length l is an orbit
         # of l points, not l * l, so it has no product coordinates
         n = draw(st.integers(2, 40))
@@ -304,7 +372,7 @@ def _assert_same_as_oracle(data, f):
     # small targets make the subsample screen run on these small spaces
     target = data.draw(st.sampled_from((4096, 2, 5)))
     n = f.space.n_points
-    aligned = all(al.dims is not None for al in orbit_alignment(f))
+    aligned = all(dims is not None for _, dims, _ in orbit_alignment_loop(f))
     for kind in ("rewired", "target"):
         new = _with_subsample(_GoodSetEvaluator, target)(f, phi, eps, kind)
         old = _with_subsample(PointOrderEvaluator, target)(f, phi, eps, kind)
@@ -338,6 +406,71 @@ def test_single_generator_evaluator_matches_point_order(data):
 @given(st.data())
 def test_grid_evaluator_matches_point_order(data):
     _assert_same_as_oracle(data, data.draw(grid_factors()))
+
+
+@st.composite
+def fitting_tiles(draw, f: FactorAction):
+    """A box tile with at most as many elements as the smallest orbit, when
+    the torsion part leaves room; its sides may still exceed an orbit
+    dimension."""
+    budget = f.orbits().min_orbit_size()
+    for c in f.spec.torsion_moduli:
+        budget //= c
+    lows, highs = [], []
+    for _ in range(f.spec.rank):
+        side = draw(st.integers(1, max(1, budget)))
+        budget //= side
+        lo = draw(st.integers(-(side - 1), 0))
+        lows.append(lo)
+        highs.append(lo + side - 1)
+    return box_tile(f.spec, lows, highs)
+
+
+def _assert_shapes_match_loop(f):
+    alignment = orbit_alignment(f)
+    loop = orbit_alignment_loop(f)
+    assert alignment.unaligned.tolist() == [o for o, (_, dims, _) in enumerate(loop)
+                                            if dims is None]
+    assert [s.dims for s in alignment.shapes] == \
+        sorted({dims for _, dims, _ in loop if dims is not None})
+    for shape in alignment.shapes:
+        assert shape.orbits.tolist() == [o for o, (_, dims, _) in enumerate(loop)
+                                         if dims == shape.dims]
+        assert shape.points.shape == (len(shape.orbits),) + shape.dims
+        for row, o in zip(shape.points, shape.orbits):
+            assert np.array_equal(row.ravel(), loop[o][2])
+
+
+def _assert_tiling_matches_loop(data, f):
+    tile = data.draw(fitting_tiles(f))
+    if tile.size > f.orbits().min_orbit_size():
+        with pytest.raises(TileTooLarge):
+            tiling_base(f, tile)
+        return
+    tower = tiling_base(f, tile)
+    assert tower.base == tiling_base_loop(f, tile)
+    assert np.array_equal(tower.levels, f.tile_images(tile, tower.base.indices()))
+    support, disjoint = tower_support(tower)
+    assert disjoint
+    coverage = max_aligned_coverage(f, tile.sides, tile.size)
+    if orbit_alignment(f).unaligned.size:
+        assert measure(support) >= coverage
+    else:
+        assert measure(support) == coverage
+
+
+@SETTINGS
+@given(st.data())
+def test_shape_blocks_match_per_orbit_loop(data):
+    factors = data.draw(st.sampled_from((single_generator_factors, grid_factors)))
+    _assert_shapes_match_loop(data.draw(factors()))
+
+
+@SETTINGS
+@given(st.data())
+def test_tiling_base_matches_per_orbit_packing(data):
+    factors = data.draw(st.sampled_from((single_generator_factors, grid_factors)))
+    _assert_tiling_matches_loop(data, data.draw(factors()))
 
 
 @SETTINGS

@@ -258,9 +258,9 @@ def test_tower_support_matches_loop(data):
     tile = data.draw(fitting_tiles(f))
     n = f.space.n_points
     bases = [PointSet.from_indices(f.space, data.draw(st.sets(st.integers(0, n - 1)))),
-             tiling_base(f, tile)]
+             tiling_base(f, tile).base]
     for base in bases:
-        support, disjoint = tower_support(f, tile, base)
+        support, disjoint = tower_support(Tower.over(f, tile, base))
         mask, disjoint_loop = tower_support_loop(f, tile, base)
         assert np.array_equal(support.mask, mask)
         assert disjoint == disjoint_loop
@@ -342,7 +342,7 @@ def test_tile_matching_reports_the_first_failing_column():
 def test_build_rewiring_forward_matches_loop(data, seed):
     f = data.draw(factor_actions())
     tile = data.draw(fitting_tiles(f))
-    cd = _random_columns(np.random.default_rng(seed), f, tile, tiling_base(f, tile))
+    cd = _random_columns(np.random.default_rng(seed), f, tile, tiling_base(f, tile).base)
     s_perm, _ = build_rewiring(f, cd)
     assert np.array_equal(s_perm.forward, rewiring_forward_loop(f, cd))
 
@@ -352,7 +352,7 @@ def test_build_rewiring_forward_matches_loop(data, seed):
 def test_loss_masks_match_loop(data, seed):
     f = data.draw(factor_actions())
     tile = data.draw(fitting_tiles(f))
-    cd = _random_columns(np.random.default_rng(seed), f, tile, tiling_base(f, tile))
+    cd = _random_columns(np.random.default_rng(seed), f, tile, tiling_base(f, tile).base)
     g = f.spec.element(data.draw(st.lists(st.integers(-3, 3), min_size=f.spec.num_generators,
                                           max_size=f.spec.num_generators)))
     levels = f.tile_images(tile, cd.q_alpha)

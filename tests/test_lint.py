@@ -1,5 +1,6 @@
 """Lint: no module of the package or of the tests imports a name it never
-uses, and no private helper of the package is left without a caller.
+uses, and no private helper or public method of the package is left without
+a caller.
 
 Both checks are AST scans.  A name bound by ``import`` or ``from ... import``
 counts as used when it appears as a ``Name`` anywhere in the module; a name
@@ -8,7 +9,10 @@ modules re-export their imports, so they are exempt, and so is
 ``from __future__ import ...``.  A private helper is a top-level function or
 class, or a method of a top-level class, whose name starts with ``_`` and is
 not a dunder; it counts as referenced when its name appears as a ``Name``,
-an attribute or an imported name anywhere in ``src/`` or ``tests/``.
+an attribute or an imported name anywhere in ``src/`` or ``tests/``.  A
+public method of a top-level class, whose name has no leading ``_``, must
+be referenced the same way; a top-level public function may be API that
+only the package namespace exports, so it is not scanned.
 """
 
 import ast
@@ -75,6 +79,18 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return out
 
 
+def public_methods(tree: ast.Module) -> dict[str, int]:
+    """Public methods of top-level classes, as ``Class.method``."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    out[f"{node.name}.{item.name}"] = item.lineno
+    return out
+
+
 @pytest.fixture(scope="module")
 def references() -> set[str]:
     out = set()
@@ -89,4 +105,13 @@ def test_no_dead_private_helpers(path, references):
     dead = sorted((line, name) for name, line in helpers.items()
                   if name.rpartition(".")[2] not in references)
     assert not dead, f"{path.name}: private helpers nothing references " + ", ".join(
+        f"{name} (line {line})" for line, name in dead)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_uncalled_public_methods(path, references):
+    methods = public_methods(ast.parse(path.read_text(encoding="utf-8")))
+    dead = sorted((line, name) for name, line in methods.items()
+                  if name.rpartition(".")[2] not in references)
+    assert not dead, f"{path.name}: public methods nothing references " + ", ".join(
         f"{name} (line {line})" for line, name in dead)
