@@ -28,15 +28,18 @@ carried one, is checked against its generator in O(N).
 
 Orbits of a factor are the joins of its generators' cycles; for a single
 generator they are the cycles themselves, otherwise minimum-label propagation
-along cycles merges them.  Ergodicity of a finite factor model means
-transitivity, and the ergodic decomposition is the uniform measure on each
-orbit.
+along cycles merges them.  Its fixpoint labels each orbit by its minimal
+point, so a running count of the minima numbers the orbits in O(N), without
+a sort; the per-orbit point lists are built only when read.  Ergodicity of
+a finite factor model means transitivity, and the ergodic decomposition is
+the uniform measure on each orbit.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -348,18 +351,31 @@ class FactorAction:
 class OrbitDecomposition:
     """Orbits of a factor action: the finite ergodic decomposition.
 
-    Orbits are listed by increasing minimal point; orbit_id maps each point
-    to its orbit's index in that listing.
+    Orbits are numbered by increasing minimal point; orbit_id maps each point
+    to its orbit's number and sizes[o] counts the points of orbit o.  The
+    per-orbit point arrays, ``orbits``, are listed on first read: along
+    ``order`` when a listing was given (a single generator's cycle listing),
+    otherwise by increasing point.
     """
 
     orbit_id: np.ndarray
-    orbits: list[np.ndarray]
     sizes: np.ndarray
     factor_index: int | None = None
+    order: np.ndarray | None = field(default=None, repr=False)
+    _orbits: list[np.ndarray] | None = field(default=None, init=False, repr=False)
+
+    @property
+    def orbits(self) -> list[np.ndarray]:
+        if self._orbits is None:
+            order = self.order
+            if order is None:
+                order = np.argsort(self.orbit_id, kind="stable")
+            self._orbits = np.split(order, np.cumsum(self.sizes)[:-1])
+        return self._orbits
 
     @property
     def n_orbits(self) -> int:
-        return len(self.orbits)
+        return len(self.sizes)
 
     @property
     def is_transitive(self) -> bool:
@@ -372,38 +388,37 @@ class OrbitDecomposition:
         return int(self.sizes.min())
 
 
-def _canonical_orbits(space: FiniteSpace, roots: np.ndarray,
-                      factor_index: int | None) -> OrbitDecomposition:
-    uniq, orbit_id = np.unique(roots, return_inverse=True)
-    sizes = np.bincount(orbit_id)
-    sorter = np.argsort(orbit_id, kind="stable")
-    bounds = np.cumsum(sizes)[:-1]
-    orbits = np.split(sorter, bounds)
-    return OrbitDecomposition(orbit_id.astype(np.int64), [o.astype(np.int64) for o in orbits],
-                              sizes.astype(np.int64), factor_index)
+def _orbits_of_minima(label: np.ndarray) -> OrbitDecomposition:
+    """The decomposition whose orbits are the classes of ``label``, where
+    label[x] is the minimal point of x's orbit: minima ascend with their
+    orbit numbers, so a running count of them numbers the orbits in O(N)."""
+    head = label == np.arange(len(label), dtype=np.int64)
+    orbit_id = (np.cumsum(head) - 1)[label]
+    sizes = np.bincount(orbit_id, minlength=int(np.count_nonzero(head)))
+    return OrbitDecomposition(orbit_id, sizes)
 
 
 def _decompose(space: FiniteSpace, charts: Sequence[CycleChart]) -> OrbitDecomposition:
     if len(charts) == 1:
         chart = charts[0]
-        orbit_id = chart.cycle_of.copy()
-        orbits = [chart.order[s:s + l] for s, l in zip(chart.cycle_start, chart.cycle_len)]
-        return OrbitDecomposition(orbit_id, orbits, chart.cycle_len.copy(), None)
+        return OrbitDecomposition(chart.cycle_of.copy(), chart.cycle_len.copy(),
+                                  order=chart.order)
     # vectorized label propagation: spread the minimum label along every
     # generator's cycles until nothing changes; the fixpoint labels each
-    # orbit by its minimal point
+    # orbit by its minimal point.  A visit leaves the labels constant on the
+    # visited generator's cycles, so once the last len(charts) visits, one
+    # per generator, changed nothing after the first of them, it is reached.
     label = np.arange(space.n_points, dtype=np.int64)
-    changed = True
-    while changed:
-        changed = False
-        for chart in charts:
-            lab_ord = label[chart.order]
-            mins = np.minimum.reduceat(lab_ord, chart.cycle_start)
-            new = mins[chart.cycle_of]
-            if np.any(new < label):
-                np.minimum(label, new, out=label)
-                changed = True
-    return _canonical_orbits(space, label, None)
+    quiet = 0
+    for chart in itertools.cycle(charts):
+        new = np.minimum.reduceat(label[chart.order], chart.cycle_start)[chart.cycle_of]
+        if np.any(new < label):
+            label, quiet = new, 1
+        else:
+            quiet += 1
+        if quiet == len(charts):
+            break
+    return _orbits_of_minima(label)
 
 
 def orbit_decomposition(f: FactorAction, factor_index: int | None = None) -> OrbitDecomposition:
@@ -411,7 +426,7 @@ def orbit_decomposition(f: FactorAction, factor_index: int | None = None) -> Orb
     od = f.orbits()
     if factor_index is None:
         return od
-    return OrbitDecomposition(od.orbit_id, od.orbits, od.sizes, factor_index)
+    return replace(od, factor_index=factor_index)
 
 
 def act(f: FactorAction, g: AbelianElement, x: int) -> int:

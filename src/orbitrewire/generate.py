@@ -94,9 +94,12 @@ def _product_cycle(space: FiniteSpace, dims: list[int], steps: list[int] | None)
 def _explicit(space: FiniteSpace, rank: int, torsion: list[int],
               arrays: list[list[int]]) -> FactorAction:
     spec = AbelianGroupSpec(rank, tuple(torsion))
+    # numpy reads a bool among integers as 0 or 1, so bools are refused by a
+    # scan of the lists; floats are refused whole, never truncated; integers
+    # beyond int64 parse as unsigned or object arrays and are refused too
+    if any(isinstance(v, (bool, np.bool_)) for a in arrays for v in a):
+        raise ConfigError("explicit arrays take int64 integers, not booleans")
     parsed = [np.asarray(a) for a in arrays]
-    # floats and bools are refused whole, never truncated; integers beyond
-    # int64 parse as unsigned or object arrays and are refused too
     if any(a.dtype.kind != "i" for a in parsed):
         raise ConfigError("explicit arrays take int64 integers")
     gens = tuple(Permutation(space, a) for a in parsed)

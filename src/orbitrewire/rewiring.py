@@ -13,8 +13,11 @@ weakly close to ``beta`` on a requested family of group elements and sets:
    columns, match tile elements of equal label within each column, and rewire
    the conjugated action by the matching permutation inside each column;
 5. certify, with exact arithmetic, the three-part mass budget that bounds the
-   final discrepancy, and re-verify the weak discrepancy and the orbit
-   partition equality from scratch.
+   final discrepancy, re-verify the weak discrepancy from scratch, and check
+   the orbit partition equality factor by factor: gamma's partition is the
+   join of its factors', so it is R's image of alpha's once every S_i keeps
+   the orbits of R alpha_i R^-1 (``verify_orbit_equivalence``; only a
+   rewiring that leaves them sends the check to the full partitions).
 
 Every inequality asserted here is the exact finite form of the corresponding
 step bound; violations raise coded errors instead of degrading silently.
@@ -886,9 +889,10 @@ def _constant_on_classes(ids: np.ndarray, other: np.ndarray) -> bool:
     return bool(np.array_equal(other[rep[ids]], other))
 
 
-def verify_orbit_equivalence(alpha: FreeProductSystem, gamma: FreeProductSystem,
-                             r: Permutation) -> tuple[bool, str | None]:
-    """Whether gamma's full orbit partition is the r-image of alpha's.
+def _full_partition_check(alpha: FreeProductSystem, gamma: FreeProductSystem,
+                          r: Permutation) -> tuple[bool, str | None]:
+    """Whether gamma's full orbit partition is the r-image of alpha's, by
+    label propagation over every generator of both systems.
 
     Two partitions are equal iff each one's ids are constant on the other's
     classes; only a failed check sorts, to name the first separating point.
@@ -906,9 +910,58 @@ def verify_orbit_equivalence(alpha: FreeProductSystem, gamma: FreeProductSystem,
     return False, "partition counts differ"  # pragma: no cover
 
 
+def verify_orbit_equivalence(alpha: FreeProductSystem,
+                             witness: OEWitness) -> tuple[bool, str | None]:
+    """Whether the gamma a witness derives has the R-image of alpha's full
+    orbit partition; if not, the diagnostic names a separating point.
+
+    gamma_i = S_i alpha'_i S_i^-1 with alpha'_i = R alpha_i R^-1.  When every
+    S_i keeps each orbit of alpha'_i, gamma_i has the orbits of alpha'_i and
+    the joins over all factors agree.  That is checked factor by factor on
+    alpha's own orbit ids, oid_i[R^-1 S_i x] == oid_i[R^-1 x], in O(N) per
+    factor; only a factor that fails it sends the question to the
+    full-partition check, which decides it exactly.
+    """
+    witness.check_shape(alpha)
+    r = witness.conjugator.forward
+    for f, s in zip(alpha.factors, witness.rewirings):
+        # ids[x] = oid_i[R^-1 x], by one scatter instead of an inverse
+        oid = f.orbits().orbit_id
+        ids = np.empty_like(oid)
+        ids[r] = oid
+        if not np.array_equal(ids[s.forward], ids):
+            return _full_partition_check(alpha, witness.gamma(alpha), witness.conjugator)
+    return True, None
+
+
 # ---------------------------------------------------------------------------
 # full pipeline
 # ---------------------------------------------------------------------------
+
+class GammaWords:
+    """gamma's word permutations read through alpha's charts: letter (i, g)
+    acts as T_i alpha_i(g) T_i^-1 with T_i = S_i o R.  It has the ``space``
+    and ``word_perm`` of a system, which is all ``weak_discrepancy`` reads."""
+
+    __slots__ = ("alpha", "space", "moves")
+
+    def __init__(self, alpha: FreeProductSystem, moves: Sequence[Permutation]):
+        self.alpha = alpha
+        self.space = alpha.space
+        self.moves = tuple(moves)
+
+    def word_perm(self, w: FreeWord) -> Permutation:
+        self.alpha._check_word(w)
+        points = np.arange(self.space.n_points, dtype=np.int64)
+        out = None
+        for i, g in reversed(w.letters):
+            # the letter sends T y to T alpha_i(g) y: one scatter, no inverse
+            t = self.moves[i].forward
+            letter = np.empty_like(t)
+            letter[t] = t[self.alpha.factors[i].element_image_points(g, points)]
+            out = letter if out is None else letter[out]
+        return Permutation._trusted(self.space, points if out is None else out)
+
 
 @dataclass
 class OEWitness:
@@ -918,12 +971,27 @@ class OEWitness:
     conjugator: Permutation
     rewirings: tuple[Permutation, ...]
 
+    def check_shape(self, alpha: FreeProductSystem) -> None:
+        """SpecMismatch unless the witness has one rewiring per factor of
+        alpha and lives on alpha's space."""
+        if len(self.rewirings) != alpha.k:
+            raise SpecMismatch(
+                f"witness has {len(self.rewirings)} rewirings, alpha {alpha.k} factors")
+        if any(p.space != alpha.space for p in (self.conjugator, *self.rewirings)):
+            raise SpecMismatch("alpha and the witness must share one space")
+
     def gamma(self, alpha: FreeProductSystem) -> FreeProductSystem:
         """gamma_i = S_i R alpha_i R^-1 S_i^-1, one conjugation by S_i o R."""
         return FreeProductSystem(tuple(
             f.conjugate(s.compose(self.conjugator))
             for f, s in zip(alpha.factors, self.rewirings, strict=True)
         ))
+
+    def gamma_words(self, alpha: FreeProductSystem) -> GammaWords:
+        """gamma's word permutations without building gamma: no factor is
+        conjugated and no chart is carried."""
+        self.check_shape(alpha)
+        return GammaWords(alpha, [s.compose(self.conjugator) for s in self.rewirings])
 
 
 @dataclass
@@ -1122,6 +1190,7 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
         )
 
     gamma = FreeProductSystem(tuple(new_factors))
+    witness = OEWitness(conjugator=r_perm, rewirings=tuple(rewirings))
     with _stage("final"):
         words = [
             FreeWord.letter(i, g) for i, elems in enumerate(window) for g in elems
@@ -1131,11 +1200,10 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
             raise FinalDiscrepancyExceeded(
                 f"end-to-end discrepancy {final} not below {eps}"
             )
-        ok, diag = verify_orbit_equivalence(alpha, gamma, r_perm)
+        ok, diag = verify_orbit_equivalence(alpha, witness)
         if not ok:
             raise VerificationFailed(f"orbit partitions differ: {diag}")
 
-    witness = OEWitness(conjugator=r_perm, rewirings=tuple(rewirings))
     report = PipelineReport(
         eps=eps,
         eps_prime=eps_prime,

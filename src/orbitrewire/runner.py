@@ -8,11 +8,13 @@ same config and seed produce byte-identical files.
 
 The JSON report embeds the witness: the conjugator R and the per-factor
 rewirings S_i.  Verification rebuilds alpha, beta and the target sets from
-the embedded config, derives gamma_i = S_i R alpha_i R^-1 S_i^-1 from the
-witness, and recomputes the final discrepancy and the orbit check.  A run
-checks its report before writing it: the config echo must parse back to the
-run's config, and the witness is checked the same way on the systems the
-run already built.
+the embedded config and checks the witness without building gamma: the
+final discrepancy is recomputed from gamma's word permutations read through
+alpha's charts (``OEWitness.gamma_words``), and the orbit check asks factor
+by factor whether each S_i keeps the orbits of R alpha_i R^-1
+(``verify_orbit_equivalence``).  A run checks its report before writing it:
+the config echo must parse back to the run's config, and the witness is
+checked the same way on the systems the run already built.
 """
 
 from __future__ import annotations
@@ -193,7 +195,11 @@ def _witness_from_report(report: dict, space: FiniteSpace, k: int) -> OEWitness:
         raise ConfigError(f"report has {len(rewirings)} rewirings, its config {k} factors")
 
     def perm(a) -> Permutation:
-        return Permutation(space, np.asarray(a, dtype=np.int64))
+        # parsed without a dtype, so a float is refused, never truncated
+        arr = np.asarray(a)
+        if arr.dtype.kind != "i":
+            raise ValueError(f"witness entries must be integers, not {arr.dtype}")
+        return Permutation(space, arr)
 
     try:
         return OEWitness(perm(_field(wit, "conjugator", list)), tuple(map(perm, rewirings)))
@@ -211,13 +217,12 @@ def _verify_report_payload(report: dict, config: RunConfig, space: FiniteSpace,
     words = [FreeWord.letter(i, g) for i, elems in enumerate(window) for g in elems]
     reported = parse_rational(_field(_field(report, "final", dict), "weak_discrepancy", dict),
                               "final weak_discrepancy")
-    gamma = witness.gamma(alpha)
-    final = weak_discrepancy(gamma, beta, words, sets)
+    final = weak_discrepancy(witness.gamma_words(alpha), beta, words, sets)
     if final != reported:
         return False
     if not final < config.epsilon:
         return False
-    ok, _ = verify_orbit_equivalence(alpha, gamma, witness.conjugator)
+    ok, _ = verify_orbit_equivalence(alpha, witness)
     return ok
 
 

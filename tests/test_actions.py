@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import Z, pointset, rotation, rotation_system
 
@@ -10,6 +11,7 @@ from orbitrewire import (
     AbelianGroupSpec,
     FactorAction,
     FiniteSpace,
+    FreeProductSystem,
     FreeWord,
     Labeling,
     Permutation,
@@ -28,6 +30,7 @@ from orbitrewire import (
     sym_diff_mass,
     weak_discrepancy,
 )
+from orbitrewire.actions import _orbits_of_minima
 from orbitrewire.errors import IdentityInWindow
 
 
@@ -97,6 +100,64 @@ def test_orbit_decomposition_multi_generator_matches_union():
     od2 = orbit_decomposition(f)
     assert od2.n_orbits == 2  # gcd(4, 6) = 2
     assert sorted(od2.orbits[0].tolist()) == list(range(0, 24, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_orbit_numbering_matches_unique(n, k, seed):
+    # a random partition of n points into at most k classes, each point
+    # labelled by its class minimum, as label propagation leaves it
+    cls = np.random.default_rng(seed).integers(0, k, n)
+    first = np.full(k, n)
+    np.minimum.at(first, cls, np.arange(n))
+    label = first[cls]
+    od = _orbits_of_minima(label)
+    uniq, inverse = np.unique(label, return_inverse=True)
+    assert od.orbit_id.tolist() == inverse.tolist()
+    assert od.sizes.tolist() == np.bincount(inverse).tolist()
+    assert od.n_orbits == len(uniq)
+    # the former eager listing: points by orbit, increasing within each
+    sorter = np.argsort(inverse, kind="stable")
+    eager = np.split(sorter, np.cumsum(np.bincount(inverse))[:-1])
+    assert [o.tolist() for o in od.orbits] == [o.tolist() for o in eager]
+    assert all(od.orbit_of(x).tolist() == eager[inverse[x]].tolist() for x in range(n))
+
+
+def _orbits_loop(n: int, forwards) -> list[int]:
+    """Orbit ids of the group generated by the forward arrays, by union-find,
+    numbered by increasing orbit minimum."""
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for fwd in forwards:
+        for x in range(n):
+            a, b = root(x), root(int(fwd[x]))
+            parent[max(a, b)] = min(a, b)
+    minima = sorted({root(x) for x in range(n)})
+    return [minima.index(root(x)) for x in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_label_propagation_matches_union_find(n, k, seed):
+    # k permutations with many short cycles, as factors of one free product
+    rng = np.random.default_rng(seed)
+    sp = FiniteSpace(n)
+    forwards = []
+    for _ in range(k):
+        fwd = np.arange(n)
+        blocks = np.split(rng.permutation(n), np.sort(rng.integers(0, n + 1, rng.integers(0, n))))
+        for b in blocks:
+            fwd[b] = np.roll(b, 1)
+        forwards.append(fwd)
+    system = FreeProductSystem(tuple(FactorAction(Z, sp, (Permutation(sp, f),)) for f in forwards))
+    od = system.full_orbit_decomposition()
+    assert od.orbit_id.tolist() == _orbits_loop(n, forwards)
 
 
 def test_orbit_pushforward_examples():

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from orbitrewire import runner
-from orbitrewire.actions import CycleChart, FactorAction
+from orbitrewire.actions import CycleChart, FactorAction, FreeProductSystem
 from orbitrewire.cli import main
 from orbitrewire.config import RunConfig, parse_rational
 from orbitrewire.errors import ConfigError, VerificationFailed
@@ -104,13 +104,15 @@ def test_steps_beyond_int64_reduce_modulo_the_cycle(template):
     {"name": "explicit", "rank": 0, "torsion": [36.5], "arrays": [list(range(1, 36)) + [0]]},
     {"name": "explicit", "rank": 1, "arrays": [[1.9, 2.2, 3.0, 0.5] + list(range(4, 36))]},
     {"name": "explicit", "rank": 1, "arrays": [[float(i) for i in range(1, 36)] + [0.0]]},
-    # on two points [true, false] would read as the swap [1, 0]
+    # on two points [true, false] would read as the swap [1, 0], and so
+    # would [true, 0], whose numpy dtype is int64
     {"name": "explicit", "rank": 1, "arrays": [[True, False]]},
+    {"name": "explicit", "rank": 1, "arrays": [[True, 0]]},
 ], ids=["step-float", "step-bool", "dims-float", "steps-bool", "product-dims-bool",
         "product-steps-float", "rank-float", "torsion-float", "arrays-float",
-        "arrays-integral-float", "arrays-bool"])
+        "arrays-integral-float", "arrays-bool", "arrays-bool-and-int"])
 def test_template_integers_are_never_truncated(tmp_path, template):
-    n = 2 if template.get("arrays") == [[True, False]] else 36
+    n = len(template["arrays"][0]) if "arrays" in template else 36
     with pytest.raises(ConfigError):
         generate_system(FiniteSpace(n), [template])
     cfg = write_config(tmp_path, {"space_size": n, "alpha": [template] * 2})
@@ -211,6 +213,9 @@ def test_verify_report_file_rejects_malformed_fields(tmp_path):
         lambda r: r["witness"].update(conjugator=r["witness"]["conjugator"][:-1]),
         lambda r: r["witness"]["rewirings"].pop(),
         lambda r: r["witness"]["rewirings"][0].append(["a"]),
+        # a float is refused, not truncated back to the true entry
+        lambda r: r["witness"]["conjugator"].__setitem__(0, r["witness"]["conjugator"][0] + 0.25),
+        lambda r: r["witness"]["rewirings"][1].__setitem__(0, float(r["witness"]["rewirings"][1][0])),
         lambda r: r["config"]["target_sets"][0].update(modulus=0),
     ]
     for i, tamper in enumerate(tamperings):
@@ -383,6 +388,21 @@ def test_shift_templates_never_build_charts_by_doubling(monkeypatch, tmp_path, o
     _, report = execute(RunConfig.from_dict({**BASE_CONFIG, **overrides}))
     path = tmp_path / "report.json"
     path.write_bytes(report_json_bytes(report))
+    assert verify_report_file(path) is True
+
+
+@pytest.mark.parametrize("overrides", [{}, GRID_CONFIG], ids=["rotation", "grid_shift"])
+def test_witness_checks_never_rebuild_gamma(monkeypatch, tmp_path, overrides):
+    # the self-verify and verify read gamma through alpha's charts and check
+    # the orbits factor by factor: no conjugation, no full-partition labels
+    def refuse(*args):
+        raise AssertionError("gamma rebuilt or full orbit partition computed")
+
+    monkeypatch.setattr(FreeProductSystem, "full_orbit_decomposition", refuse)
+    _, report = execute(RunConfig.from_dict({**BASE_CONFIG, **overrides}))
+    path = tmp_path / "report.json"
+    path.write_bytes(report_json_bytes(report))
+    monkeypatch.setattr(FactorAction, "conjugate", refuse)
     assert verify_report_file(path) is True
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,9 +38,12 @@ from orbitrewire.errors import (
     DefectBoundViolated,
     PushforwardMismatch,
     RankUnsupported,
+    SpecMismatch,
 )
 from orbitrewire.rewiring import (
     ColumnData,
+    OEWitness,
+    _full_partition_check,
     _GoodSetEvaluator,
     equalize_bases,
     reduce_words_to_letters,
@@ -431,15 +435,16 @@ def test_verify_orbit_equivalence_conjugate_true():
     alpha = rotation_system(sp, 2, 6)
     r = Permutation(sp, np.roll(np.arange(36), 5))
     gamma = alpha.conjugate(r)
-    ok, diag = verify_orbit_equivalence(alpha, gamma, r)
-    assert ok and diag is None
+    assert _full_partition_check(alpha, gamma, r) == (True, None)
+    identity = Permutation.identity(sp)
+    assert verify_orbit_equivalence(alpha, OEWitness(r, (identity, identity))) == (True, None)
 
 
 def test_verify_orbit_equivalence_detects_coarsening():
     sp = FiniteSpace(12)
     alpha = rotation_system(sp, 2, 2)  # parity orbits
     gamma = rotation_system(sp, 1, 2)  # first factor transitive: coarser
-    ok, diag = verify_orbit_equivalence(alpha, gamma, Permutation.identity(sp))
+    ok, diag = _full_partition_check(alpha, gamma, Permutation.identity(sp))
     assert not ok
     assert diag is not None
 
@@ -449,15 +454,15 @@ def test_verify_orbit_equivalence_names_the_first_separating_point():
     identity = Permutation.identity(sp)
     parity = rotation_system(sp, 2, 2)
     coarser = rotation_system(sp, 1, 2)
-    assert verify_orbit_equivalence(parity, coarser, identity) == \
+    assert _full_partition_check(parity, coarser, identity) == \
         (False, "point 1 separates the partitions")
-    assert verify_orbit_equivalence(coarser, parity, identity) == \
+    assert _full_partition_check(coarser, parity, identity) == \
         (False, "point 1 separates the partitions")
     shift = Permutation(sp, np.roll(np.arange(12), 5))
     mod4, mod3 = rotation_system(sp, 4, 6), rotation_system(sp, 3, 6)
-    assert verify_orbit_equivalence(mod4, mod3, shift) == \
+    assert _full_partition_check(mod4, mod3, shift) == \
         (False, "point 3 separates the partitions")
-    assert verify_orbit_equivalence(mod3, mod4, shift) == \
+    assert _full_partition_check(mod3, mod4, shift) == \
         (False, "point 2 separates the partitions")
 
 
@@ -486,11 +491,130 @@ def test_verify_orbit_equivalence_matches_loop(n, seed):
 
     alpha, gamma = system(), system()
     r = Permutation(sp, rng.permutation(n))
-    ok, diag = verify_orbit_equivalence(alpha, gamma, r)
+    ok, diag = _full_partition_check(alpha, gamma, r)
     x = _separating_point_loop(gamma.full_orbit_decomposition().orbit_id,
                                alpha.full_orbit_decomposition().orbit_id[r.inverse_array])
     assert ok == (x is None)
     assert diag == (None if ok else f"point {x} separates the partitions")
+
+
+# ---------------------------------------------------------------------------
+# orbit equivalence of a witness, factor by factor
+# ---------------------------------------------------------------------------
+
+def _random_factor(rng, sp: FiniteSpace, a: int, b: int) -> FactorAction:
+    """A grid shift on a x b, a product cycle on a x b, or a permutation with
+    many short cycles; steps with common divisors give several orbits."""
+    i, j = np.divmod(np.arange(a * b), b)
+    s0, s1 = int(rng.integers(0, a + 1)), int(rng.integers(0, b + 1))
+    kind = rng.integers(3)
+    if kind == 0:
+        gens = (((i + s0) % a) * b + j, i * b + (j + s1) % b)
+        return FactorAction(AbelianGroupSpec(2), sp, tuple(Permutation(sp, g) for g in gens))
+    if kind == 1:
+        return FactorAction(Z, sp, (Permutation(sp, ((i + s0) % a) * b + (j + s1) % b),))
+    fwd = np.arange(a * b)
+    cuts = np.sort(rng.integers(0, a * b + 1, rng.integers(0, a * b)))
+    for block in np.split(rng.permutation(a * b), cuts):
+        fwd[block] = np.roll(block, 1)
+    return FactorAction(Z, sp, (Permutation(sp, fwd),))
+
+
+def _rewiring(rng, ids: np.ndarray, kind: str) -> Permutation:
+    """S for orbit ids ``ids`` of alpha'_i: "keep" shuffles inside each orbit,
+    "swap" maps whole orbits onto random orbits of the same size (leaving
+    the factor orbits but keeping the partition), "break" is any permutation."""
+    n = len(ids)
+    sp = FiniteSpace(n)
+    if kind == "break":
+        return Permutation(sp, rng.permutation(n))
+    sizes = np.bincount(ids)
+    target = np.arange(len(sizes))
+    if kind == "swap":
+        for size in np.unique(sizes):
+            same = np.flatnonzero(sizes == size)
+            target[same] = rng.permutation(same)
+    # orbit o's points, shuffled, go onto orbit target[o]'s points in order
+    src = np.lexsort((rng.random(n), ids))
+    starts = np.cumsum(sizes) - sizes
+    dst_order = np.argsort(ids, kind="stable")
+    rank = np.arange(n) - starts[ids[src]]
+    fwd = np.empty(n, dtype=np.int64)
+    fwd[src] = dst_order[starts[target[ids[src]]] + rank]
+    return Permutation(sp, fwd)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3),
+       st.lists(st.sampled_from(["keep", "swap", "break"]), min_size=3, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_orbit_check_by_factor_matches_full_partition(a, b, k, kinds, seed):
+    rng = np.random.default_rng(seed)
+    sp = FiniteSpace(a * b)
+    alpha = FreeProductSystem(tuple(_random_factor(rng, sp, a, b) for _ in range(k)))
+    r = Permutation(sp, rng.permutation(a * b))
+    rewirings = []
+    for f, kind in zip(alpha.factors, kinds):
+        ids = np.empty(a * b, dtype=np.int64)
+        ids[r.forward] = f.orbits().orbit_id  # orbit ids of alpha'_i = R alpha_i R^-1
+        rewirings.append(_rewiring(rng, ids, kind))
+    witness = OEWitness(r, tuple(rewirings))
+    expected = _full_partition_check(alpha, witness.gamma(alpha), r)
+    if all(kind == "keep" for kind in kinds[:k]):
+        # every factor check passes, so the full propagation never runs
+        with mock.patch.object(FreeProductSystem, "full_orbit_decomposition",
+                               side_effect=AssertionError("full propagation ran")):
+            assert verify_orbit_equivalence(alpha, witness) == (True, None)
+    else:
+        assert verify_orbit_equivalence(alpha, witness) == expected
+    if "break" not in kinds[:k]:
+        assert expected == (True, None)
+
+
+def test_orbit_check_by_factor_falls_back_on_a_leaving_rewiring():
+    sp = FiniteSpace(12)
+    identity = Permutation.identity(sp)
+    parity = rotation_system(sp, 2, 2)
+    # the shift by one swaps the two parity orbits of factor 0: it leaves
+    # every factor orbit, but the full partition stays the parity partition
+    shift = Permutation(sp, np.roll(np.arange(12), 1))
+    assert verify_orbit_equivalence(parity, OEWitness(identity, (shift, identity))) == (True, None)
+    swap = np.arange(12)
+    swap[[0, 1]] = [1, 0]
+    witness = OEWitness(identity, (Permutation(sp, swap), identity))
+    assert verify_orbit_equivalence(parity, witness) == \
+        _full_partition_check(parity, witness.gamma(parity), identity)
+    assert verify_orbit_equivalence(parity, witness)[0] is False
+
+
+def test_orbit_check_rejects_a_witness_of_the_wrong_shape():
+    sp = FiniteSpace(12)
+    identity = Permutation.identity(sp)
+    with pytest.raises(SpecMismatch):
+        verify_orbit_equivalence(rotation_system(sp, 2, 2), OEWitness(identity, (identity,)))
+    other = Permutation.identity(FiniteSpace(6))
+    with pytest.raises(SpecMismatch):
+        verify_orbit_equivalence(rotation_system(sp, 2), OEWitness(identity, (other,)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_gamma_words_match_the_built_gamma(a, b, k, seed):
+    rng = np.random.default_rng(seed)
+    n = a * b
+    sp = FiniteSpace(n)
+    alpha = FreeProductSystem(tuple(_random_factor(rng, sp, a, b) for _ in range(k)))
+    witness = OEWitness(Permutation(sp, rng.permutation(n)),
+                        tuple(Permutation(sp, rng.permutation(n)) for _ in range(k)))
+    gamma, words = witness.gamma(alpha), witness.gamma_words(alpha)
+    for _ in range(5):
+        letters = []
+        for _ in range(rng.integers(0, 5)):
+            i = int(rng.integers(k))
+            spec = alpha.factors[i].spec
+            letters.append((i, spec.element(rng.integers(-3, 4, spec.num_generators).tolist())))
+        w = FreeWord(letters)
+        assert words.word_perm(w) == gamma.word_perm(w)
 
 
 def test_chain_extension_cases():
@@ -502,7 +626,7 @@ def test_chain_extension_cases():
     assert full.k == 3
     # tail factor is the exact conjugate
     assert full.factors[2].gens[0] == alpha.factors[2].gens[0].conjugate(r)
-    ok, _ = verify_orbit_equivalence(alpha, full, r)
+    ok, _ = _full_partition_check(alpha, full, r)
     assert ok
     pure = chain_extension(alpha, None, r, 0)
     assert all(
@@ -538,7 +662,7 @@ def test_oe_approximate_small_end_to_end():
     words = [FreeWord.letter(0, Z.element([1])), FreeWord.letter(1, Z.element([1]))]
     again = weak_discrepancy(res.gamma, beta, words, [evens])
     assert again == res.report.final_discrepancy
-    ok, _ = verify_orbit_equivalence(alpha, res.gamma, res.witness.conjugator)
+    ok, _ = verify_orbit_equivalence(alpha, res.witness)
     assert ok
 
 
