@@ -3,9 +3,12 @@
 Exit codes: 0 success; 1 pipeline stage failure (stage tag printed) or a
 report that fails verification; 2 config errors: a config or report that
 cannot be read (missing path, directory, invalid UTF-8 or JSON), fails
-validation, has another report schema or lacks the fields a run writes, or
-an eps' too fine for exact int64 arithmetic at the space size
-(EXACT_RANGE_EXCEEDED).
+validation, has another report schema or lacks the fields a run writes, a
+report whose witness is not a well-formed packed permutation (not a base64
+string, another length than the space size, an entry outside the space, no
+bijection), or an eps' too fine for exact int64 arithmetic at the space
+size (EXACT_RANGE_EXCEEDED).  A well-formed witness that does not reproduce
+the report's discrepancy or orbit equivalence fails verification (exit 1).
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ expected outcome.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,9 +52,12 @@ class GoodPartitionReport:
         return all(fb.ok(self.eps) for fb in self.per_factor)
 
 
-def _check_exact_range(eps: Fraction, n: int) -> None:
-    """Vectorized comparisons stay in int64; keep their products in range."""
-    if (eps.numerator + eps.denominator) * n * n >= 2**60:
+def _check_exact_range(eps: Fraction, n: int, den: int = 1) -> None:
+    """Vectorized comparisons stay in int64; keep their products in range.
+
+    ``den`` is the common denominator the comparisons scale masses by.
+    """
+    if (eps.numerator + eps.denominator) * n * max(n, den) >= 2**60:
         raise ExactRangeExceeded(
             f"eps'={eps} is too fine for exact int64 arithmetic at space size {n}"
         )
@@ -61,13 +65,22 @@ def _check_exact_range(eps: Fraction, n: int) -> None:
 
 def verify_good_partition(s: FreeProductSystem, psi: Labeling, pi: Distribution,
                           eps) -> GoodPartitionReport:
-    """Exact per-factor mass of orbits deviating from pi by more than 2*eps."""
+    """Exact per-factor mass of orbits deviating from pi by more than 2*eps.
+
+    An orbit of size L deviates by max_a |c_a/L - pi(a)| = dev/(L d), with
+    c_a its symbol counts, d the common denominator of pi's masses and dev
+    an int64, so the comparison with 2*eps needs no Fraction; the histogram
+    builds one Fraction per distinct (dev, L).
+    """
     eps = exact_fraction(eps)
     if set(psi.alphabet) != set(pi.alphabet):
         raise ValueError("labeling and target distribution use different alphabets")
     n = s.space.n_points
-    _check_exact_range(eps, n)
-    k_sym = len(psi.alphabet)
+    masses = [pi.mass(a) for a in psi.alphabet]
+    d = math.lcm(*(m.denominator for m in masses))
+    _check_exact_range(eps, n, d)
+    scaled = np.array([m.numerator * (d // m.denominator) for m in masses], dtype=np.int64)
+    k_sym = len(masses)
     enum, eden = eps.numerator, eps.denominator
     per_factor = []
     for fi, f in enumerate(s.factors):
@@ -76,21 +89,16 @@ def verify_good_partition(s: FreeProductSystem, psi: Labeling, pi: Distribution,
             od.orbit_id * k_sym + psi.codes, minlength=od.n_orbits * k_sym
         ).reshape(od.n_orbits, k_sym)
         sizes = od.sizes
-        bad = np.zeros(od.n_orbits, dtype=bool)
-        devs = [[] for _ in range(od.n_orbits)]
-        for a_idx, a in enumerate(psi.alphabet):
-            m = pi.mass(a)
-            num, den = m.numerator, m.denominator
-            lhs = np.abs(counts[:, a_idx] * den - num * sizes)
-            # |c/L - num/den| > 2 eps  <=>  lhs * eden > 2 enum L den
-            bad |= lhs * eden > 2 * enum * sizes * den
-            for o in range(od.n_orbits):
-                devs[o].append(Fraction(int(lhs[o]), int(sizes[o]) * den))
+        dev = np.abs(counts * d - sizes[:, None] * scaled).max(axis=1)
+        # dev/(L d) > 2 eps  <=>  dev * eden > 2 enum L d
+        bad = dev * eden > 2 * enum * sizes * d
         bad_mass = Fraction(int(sizes[bad].sum()), n)
+        pairs, which = np.unique(np.stack([dev, sizes], axis=1), axis=0, return_inverse=True)
+        orbits = np.bincount(which.reshape(-1), minlength=len(pairs))
         hist: dict[Fraction, Fraction] = {}
-        for o in range(od.n_orbits):
-            dev = max(devs[o])
-            hist[dev] = hist.get(dev, Fraction(0)) + Fraction(int(sizes[o]), n)
+        for (dv, size), count in zip(pairs.tolist(), orbits.tolist()):
+            key = Fraction(dv, size * d)
+            hist[key] = hist.get(key, Fraction(0)) + Fraction(count * size, n)
         per_factor.append(FactorBadness(fi, bad_mass, sorted(hist.items())))
     return GoodPartitionReport(per_factor, eps)
 

@@ -7,18 +7,24 @@ num/den pairs (float renderings are annotations only), no timestamps, so the
 same config and seed produce byte-identical files.
 
 The JSON report embeds the witness: the conjugator R and the per-factor
-rewirings S_i.  Verification rebuilds alpha, beta and the target sets from
+rewirings S_i.  Each is one base64 string (RFC 4648 standard alphabet,
+padded) of N little-endian unsigned entries of w bytes, where
+w = max(1, ceil(bit_length(N - 1) / 8)) follows from the config's
+``space_size`` and is not stored.  A witness that is not such a string,
+decodes to another length, or holds no bijection of the N points is a
+ConfigError.  Verification rebuilds alpha, beta and the target sets from
 the embedded config and checks the witness without building gamma: the
 final discrepancy is recomputed from gamma's word permutations read through
 alpha's charts (``OEWitness.gamma_words``), and the orbit check asks factor
 by factor whether each S_i keeps the orbits of R alpha_i R^-1
 (``verify_orbit_equivalence``).  A run checks its report before writing it:
-the config echo must parse back to the run's config, and the witness is
-checked the same way on the systems the run already built.
+the config echo must parse back to the run's config, and the packed witness
+is decoded and checked the same way on the systems the run already built.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import functools
 import io
@@ -42,7 +48,7 @@ from .rewiring import (
 )
 from .space import FiniteSpace, Permutation
 
-REPORT_SCHEMA = "orbitrewire-report/2"
+REPORT_SCHEMA = "orbitrewire-report/3"
 
 
 def _window_elements(system: FreeProductSystem, window: list[list[list[int]]]):
@@ -173,8 +179,8 @@ def build_report(config: RunConfig, result: PipelineResult,
             "orbit_equivalence": rep.orbit_check,
         },
         "witness": {
-            "conjugator": wit.conjugator.forward.tolist(),
-            "rewirings": [s.forward.tolist() for s in wit.rewirings],
+            "conjugator": _pack_permutation(wit.conjugator),
+            "rewirings": [_pack_permutation(s) for s in wit.rewirings],
         },
     }
 
@@ -187,24 +193,49 @@ def _field(d, key: str, kind: type):
     return value
 
 
+def _entry_width(n: int) -> int:
+    """Bytes per packed witness entry on an n-point space: enough for n - 1."""
+    return max(1, ((n - 1).bit_length() + 7) // 8)
+
+
+def _pack_permutation(p: Permutation) -> str:
+    """p's forward array as base64 of its entries' low little-endian bytes."""
+    n = p.space.n_points
+    raw = p.forward.astype("<i8", copy=False).view(np.uint8).reshape(n, 8)
+    return base64.b64encode(raw[:, :_entry_width(n)].tobytes()).decode("ascii")
+
+
+def _unpack_permutation(text, space: FiniteSpace, name: str) -> Permutation:
+    """The permutation a packed witness string holds; ConfigError if malformed."""
+    if not isinstance(text, str):
+        raise ConfigError(f"report witness {name} is not a packed string")
+    n = space.n_points
+    w = _entry_width(n)
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII str
+        raise ConfigError(f"report witness {name} is not base64: {exc}") from exc
+    if len(raw) != n * w:
+        raise ConfigError(f"report witness {name} decodes to {len(raw)} bytes, "
+                          f"not {n} entries of {w}")
+    wide = np.zeros((n, 8), dtype=np.uint8)
+    wide[:, :w] = np.frombuffer(raw, dtype=np.uint8).reshape(n, w)
+    try:
+        return Permutation(space, wide.view("<i8").reshape(n))
+    except ValueError as exc:
+        raise ConfigError(f"report witness {name} is malformed: {exc}") from exc
+
+
 def _witness_from_report(report: dict, space: FiniteSpace, k: int) -> OEWitness:
     """The conjugator and the k rewirings a report holds; ConfigError if malformed."""
     wit = _field(report, "witness", dict)
     rewirings = _field(wit, "rewirings", list)
     if len(rewirings) != k:
         raise ConfigError(f"report has {len(rewirings)} rewirings, its config {k} factors")
-
-    def perm(a) -> Permutation:
-        # parsed without a dtype, so a float is refused, never truncated
-        arr = np.asarray(a)
-        if arr.dtype.kind != "i":
-            raise ValueError(f"witness entries must be integers, not {arr.dtype}")
-        return Permutation(space, arr)
-
-    try:
-        return OEWitness(perm(_field(wit, "conjugator", list)), tuple(map(perm, rewirings)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"report witness is malformed: {exc}") from exc
+    return OEWitness(
+        _unpack_permutation(wit.get("conjugator"), space, "conjugator"),
+        tuple(_unpack_permutation(s, space, f"rewiring {i}") for i, s in enumerate(rewirings)),
+    )
 
 
 def _verify_report_payload(report: dict, config: RunConfig, space: FiniteSpace,

@@ -167,10 +167,10 @@ class Permutation:
         forward = np.asarray(forward, dtype=np.int64)
         if forward.shape != (space.n_points,):
             raise ValueError("forward array length does not match space size")
-        counts = np.bincount(forward, minlength=space.n_points)
+        # range first: bincount would allocate up to the largest entry
         if forward.size and (forward.min() < 0 or forward.max() >= space.n_points):
             raise ValueError("forward array maps outside the space")
-        if not np.all(counts == 1):
+        if not np.all(np.bincount(forward, minlength=space.n_points) == 1):
             raise ValueError("forward array is not a bijection")
         self._set(space, forward)
 

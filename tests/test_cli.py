@@ -1,8 +1,11 @@
+import base64
 import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitrewire import runner
 from orbitrewire.actions import CycleChart, FactorAction, FreeProductSystem
@@ -11,7 +14,7 @@ from orbitrewire.config import RunConfig, parse_rational
 from orbitrewire.errors import ConfigError, VerificationFailed
 from orbitrewire.generate import generate_system, make_target_set
 from orbitrewire.runner import execute, report_json_bytes, verify_report_file
-from orbitrewire.space import FiniteSpace
+from orbitrewire.space import FiniteSpace, Permutation
 
 
 BASE_CONFIG = {
@@ -197,26 +200,68 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
     assert main(["verify", str(tmp_path)]) == 2
     assert main(["report", str(tmp_path)]) == 2
     # a report of an old schema, and one without the fields a run writes
-    for schema in ("orbitrewire-report/1", "orbitrewire-report/2"):
+    for schema in ("orbitrewire-report/1", "orbitrewire-report/2", "orbitrewire-report/3"):
         stub = tmp_path / "stub.json"
         stub.write_text(json.dumps({"schema": schema}))
         assert main(["verify", str(stub)]) == 2
         assert main(["report", str(stub)]) == 2
 
 
-def test_verify_report_file_rejects_malformed_fields(tmp_path):
+def _edit_packed(edit):
+    """A tamper that replaces rewiring 0's decoded bytes by ``edit(raw, w)``."""
+    def tamper(r):
+        w = runner._entry_width(r["config"]["space_size"])
+        raw = bytearray(base64.b64decode(r["witness"]["rewirings"][0]))
+        r["witness"]["rewirings"][0] = base64.b64encode(bytes(edit(raw, w))).decode()
+    return tamper
+
+
+def _as_entries(packed: str) -> list[int]:
+    return runner._unpack_permutation(
+        packed, FiniteSpace(BASE_CONFIG["space_size"]), "test").forward.tolist()
+
+
+def _set_entry(raw: bytearray, w: int, index: int, value: int) -> bytearray:
+    raw[index * w:(index + 1) * w] = value.to_bytes(w, "little")
+    return raw
+
+
+def test_verify_report_file_rejects_malformed_fields(tmp_path, capsys):
     _, report = execute(RunConfig.from_dict(dict(BASE_CONFIG)))
+    n = BASE_CONFIG["space_size"]
     tamperings = [
         lambda r: r.pop("witness"),
         lambda r: r["final"].update(weak_discrepancy="1/2"),
-        lambda r: r["witness"].update(conjugator="0 1 2"),
-        lambda r: r["witness"].update(conjugator=r["witness"]["conjugator"][:-1]),
-        lambda r: r["witness"]["rewirings"].pop(),
-        lambda r: r["witness"]["rewirings"][0].append(["a"]),
-        # a float is refused, not truncated back to the true entry
-        lambda r: r["witness"]["conjugator"].__setitem__(0, r["witness"]["conjugator"][0] + 0.25),
-        lambda r: r["witness"]["rewirings"][1].__setitem__(0, float(r["witness"]["rewirings"][1][0])),
         lambda r: r["config"]["target_sets"][0].update(modulus=0),
+        lambda r: r["witness"]["rewirings"].pop(),
+        # a list, a number or a bool where a packed string belongs; the
+        # schema-2 int list, with or without a float entry, is refused too
+        lambda r: r["witness"].update(conjugator=_as_entries(r["witness"]["conjugator"])),
+        lambda r: r["witness"].update(
+            conjugator=[_as_entries(r["witness"]["conjugator"])[0] + 0.25]
+            + _as_entries(r["witness"]["conjugator"])[1:]),
+        lambda r: r["witness"]["rewirings"].__setitem__(1, 0.0),
+        lambda r: r["witness"]["rewirings"].__setitem__(1, 7),
+        lambda r: r["witness"]["rewirings"].__setitem__(0, True),
+        lambda r: r["witness"].update(conjugator=None),
+        # invalid base64: spaces, a foreign character, missing padding,
+        # the URL-safe alphabet and a non-ASCII character
+        lambda r: r["witness"].update(conjugator="0 1 2"),
+        lambda r: r["witness"]["rewirings"].__setitem__(0, r["witness"]["rewirings"][0] + "@@"),
+        lambda r: r["witness"]["rewirings"].__setitem__(0, r["witness"]["rewirings"][0].rstrip("=")),
+        lambda r: r["witness"].update(conjugator=r["witness"]["conjugator"]
+                                      .replace("+", "-").replace("/", "_") + "-_"),
+        lambda r: r["witness"].update(conjugator="\u00e9" + r["witness"]["conjugator"][1:]),
+        # a decoded length other than N entries of w bytes
+        _edit_packed(lambda raw, w: raw[:-w]),
+        _edit_packed(lambda raw, w: raw + raw[:w]),
+        _edit_packed(lambda raw, w: raw[:-1]),
+        _edit_packed(lambda raw, w: b""),
+        # an entry >= N, and the largest entry w bytes can hold
+        _edit_packed(lambda raw, w: _set_entry(raw, w, 0, n)),
+        _edit_packed(lambda raw, w: _set_entry(raw, w, 5, 256 ** w - 1)),
+        # a non-bijection: entry 0 repeats entry 1
+        _edit_packed(lambda raw, w: _set_entry(raw, w, 0, int.from_bytes(raw[w:2 * w], "little"))),
     ]
     for i, tamper in enumerate(tamperings):
         bad = json.loads(json.dumps(report))
@@ -225,11 +270,35 @@ def test_verify_report_file_rejects_malformed_fields(tmp_path):
         path.write_text(json.dumps(bad))
         with pytest.raises(ConfigError):
             verify_report_file(path)
+        capsys.readouterr()
+        assert main(["verify", str(path)]) == 2, i
+        err = capsys.readouterr().err
+        assert err.startswith("config error: CONFIG_ERROR: ") and "Traceback" not in err, err
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.one_of(st.sampled_from([1, 2, 255, 256, 257, 65535, 65536, 65537]),
+                   st.integers(1, 70_000)),
+       seed=st.integers(0, 2**32 - 1))
+def test_packed_witness_round_trips(n, seed):
+    space = FiniteSpace(n)
+    p = Permutation(space, np.random.default_rng(seed).permutation(n))
+    packed = runner._pack_permutation(p)
+    w = 1 if n <= 256 else 2 if n <= 65536 else 3
+    assert len(base64.b64decode(packed)) == n * w
+    assert runner._unpack_permutation(packed, space, "test").forward.tolist() == p.forward.tolist()
+
+
+def test_entry_width():
+    widths = {1: 1, 2: 1, 256: 1, 257: 2, 65536: 2, 65537: 3,
+              2**24: 3, 2**24 + 1: 4, 2**32: 4, 2**32 + 1: 5}
+    assert {n: runner._entry_width(n) for n in widths} == widths
 
 
 def test_verify_catches_a_tampered_rewiring(tmp_path):
+    # a well-formed witness that does not reproduce the report fails (exit 1)
     _, report = execute(RunConfig.from_dict(dict(BASE_CONFIG)))
-    identity = list(range(BASE_CONFIG["space_size"]))
+    identity = runner._pack_permutation(Permutation.identity(FiniteSpace(BASE_CONFIG["space_size"])))
     assert report["witness"]["rewirings"][0] != identity
     report["witness"]["rewirings"][0] = identity
     path = tmp_path / "report.json"
@@ -431,7 +500,7 @@ def _tampered(monkeypatch, tamper) -> None:
 
 
 def test_execute_rejects_a_tampered_rewiring(monkeypatch):
-    identity = list(range(BASE_CONFIG["space_size"]))
+    identity = runner._pack_permutation(Permutation.identity(FiniteSpace(BASE_CONFIG["space_size"])))
     _tampered(monkeypatch, lambda r: r["witness"]["rewirings"].__setitem__(0, identity))
     with pytest.raises(VerificationFailed):
         execute(RunConfig.from_dict(dict(BASE_CONFIG)))

@@ -129,6 +129,14 @@ def test_permutation_rejects_non_bijection():
         Permutation(sp, np.array([0, 0, 1]))
 
 
+@pytest.mark.parametrize("entry", [3, 10**13, -1])
+def test_permutation_checks_range_before_counting(entry):
+    # the range check comes first: a count up to 10**13 would try to
+    # allocate 72.8 TiB and fail with a MemoryError, not a ValueError
+    with pytest.raises(ValueError, match="maps outside the space"):
+        Permutation(FiniteSpace(3), np.array([0, 1, entry]))
+
+
 def test_exact_fraction_decimal_semantics():
     assert exact_fraction(0.24) == Fraction(24, 100)
     assert exact_fraction("1/3") == Fraction(1, 3)
