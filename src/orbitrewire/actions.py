@@ -292,7 +292,8 @@ class FactorAction:
         return out
 
     def element_perm(self, g: AbelianElement) -> Permutation:
-        return Permutation(
+        # the charts follow the generators, so every g is a bijection
+        return Permutation._trusted(
             self.space,
             self.element_image_points(g, np.arange(self.space.n_points, dtype=np.int64)),
         )

@@ -7,17 +7,17 @@ weakly close to ``beta`` on a requested family of group elements and sets:
 1. partition the space by how ``beta`` moves the target sets (``phi``);
 2. build a labeling ``psi`` with the same cell masses whose cells are
    equidistributed along most ``alpha`` orbits (good partition);
-3. conjugate ``alpha`` by the cell-matching automorphism R;
-4. per factor, erect matching Rohlin towers for both actions over a common
-   box tile whose levels are label-pure, split the bases into equal-mass
-   columns, match tile elements of equal label within each column, and rewire
-   the conjugated action by the matching permutation inside each column;
+3. conjugate ``alpha`` by the cell-matching automorphism R into alpha';
+4. per factor, erect matching Rohlin towers for alpha'_i and beta_i over a
+   common box tile whose levels are label-pure, split the bases into
+   equal-mass columns, match tile elements of equal label within each column,
+   and build the rewiring S_i that moves each column's levels by its matching;
 5. certify, with exact arithmetic, the three-part mass budget that bounds the
    final discrepancy, re-verify the weak discrepancy from scratch, and check
    the orbit partition equality factor by factor: gamma's partition is the
    join of its factors', so it is R's image of alpha's once every S_i keeps
-   the orbits of R alpha_i R^-1 (``verify_orbit_equivalence``; only a
-   rewiring that leaves them sends the check to the full partitions).
+   the orbits of alpha'_i (``verify_orbit_equivalence``; only a rewiring
+   that leaves them sends the check to the full partitions).
 
 Every inequality asserted here is the exact finite form of the corresponding
 step bound; violations raise coded errors instead of degrading silently.
@@ -34,12 +34,13 @@ tower is erected; ``rohlin.tiling_base`` returns the tower it certified, and
 ``rohlin_avoiding`` reads W's levels from it.  The columns (``ColumnData``)
 are arrays over it: both bases listed column by column, the alpha levels in
 that listing, and one row of |T| entries per column for the names, the
-matching and the matched set.  The rewiring reads those levels; only the budget builds its own level
-array, under the rewired action, so that it certifies independently.
+matching and the matched set.  The rewiring reads those levels, and the
+budget takes S_i of them as gamma_i's: no rewired action is built.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -644,8 +645,8 @@ def tile_matching(cd: ColumnData, eps_prime) -> ColumnData:
 # rewiring permutation
 # ---------------------------------------------------------------------------
 
-def build_rewiring(alpha_i: FactorAction, cd: ColumnData) -> tuple[Permutation, FactorAction]:
-    """The level-shuffling automorphism S and the rewired action S a S^-1.
+def build_rewiring(alpha_i: FactorAction, cd: ColumnData) -> Permutation:
+    """The level-shuffling automorphism S that rewires ``alpha_i`` into S a S^-1.
 
     On the level t.Q of column Q, S moves points to the sigma(t) level of the
     same column (identity off the tower).  sigma fixing the identity makes S
@@ -668,7 +669,7 @@ def build_rewiring(alpha_i: FactorAction, cd: ColumnData) -> tuple[Permutation, 
     od = alpha_i.orbits()
     if not np.array_equal(od.orbit_id[forward], od.orbit_id):
         raise LevelOverlap("internal error: rewiring left an orbit")
-    return s_perm, alpha_i.conjugate(s_perm)
+    return s_perm
 
 
 # ---------------------------------------------------------------------------
@@ -725,11 +726,15 @@ def _loss_masks(n: int, tile: Tile, levels: np.ndarray, matched: np.ndarray,
     return l1_mask, l2_mask
 
 
-def discrepancy_budget(alpha_pp_i: FactorAction, beta_i: FactorAction,
-                       cd: ColumnData, window: Sequence[AbelianElement],
-                       sets: Sequence[PointSet], eps_prime,
-                       phi: Labeling) -> BudgetReport:
+def discrepancy_budget(alpha_i: FactorAction, r: Permutation, s: Permutation,
+                       beta_i: FactorAction, cd: ColumnData,
+                       window: Sequence[AbelianElement], sets: Sequence[PointSet],
+                       eps_prime, phi: Labeling) -> BudgetReport:
     """Exact masses of the three discrepancy sources, per window element.
+
+    gamma_i = T alpha_i T^-1 with T = S o R (``s``, ``r``) is read through the
+    charts of alpha's own factor ``alpha_i``.  S fixes the base and sends level
+    t of a column to level sigma(t), so gamma_i's levels are S of ``cd.levels``.
 
     L0 is the tower complement, L1 the levels lost to tile shift, L2 the
     levels of unmatched tile positions; off their union the rewired and
@@ -739,9 +744,10 @@ def discrepancy_budget(alpha_pp_i: FactorAction, beta_i: FactorAction,
     """
     eps = exact_fraction(eps_prime)
     tile = cd.tile
-    n = alpha_pp_i.space.n_points
+    n = alpha_i.space.n_points
     k_sym = cd.alphabet_size
-    levels = alpha_pp_i.tile_images(tile, cd.q_alpha)
+    levels = s.forward[cd.levels]
+    t = s.compose(r)
     matched = cd.per_point(cd.matched)
     l0_mask = np.ones(n, dtype=bool)
     l0_mask[levels] = False
@@ -771,7 +777,7 @@ def discrepancy_budget(alpha_pp_i: FactorAction, beta_i: FactorAction,
         excluded = l0_mask | l1_mask | l2_mask
         discrepancies = []
         residual_empty = True
-        pa = alpha_pp_i.element_perm(g)
+        pa = alpha_i.element_perm(g).conjugate(t)
         pb = beta_i.element_perm(g)
         for a_set in sets:
             d_mask = pa.image(a_set).mask ^ pb.image(a_set).mask
@@ -810,6 +816,13 @@ def make_factor_ergodic(beta_i: FactorAction, budget) -> FactorAction:
     joins the two largest cycles and changes the generator at two points, so
     k cycles cost exactly 2(k-1) changed points; the swap points are the
     lowest-index members whose images are still untouched.
+
+    The merged cycle is always the largest, so with the cycles sorted once by
+    (-length, minimum) the first is merged with each of the others in turn.
+    A joining cycle is untouched, so its swap point is its minimum.  In each
+    cycle the touched members are a prefix of its sorted members, so a heap
+    of every merged cycle's lowest untouched member gives the merged cycle's;
+    once none is left, the swap point is the merged cycle's minimum.
     """
     budget = exact_fraction(budget)
     if beta_i.spec.rank != 1 or beta_i.spec.torsion_moduli:
@@ -823,25 +836,31 @@ def make_factor_ergodic(beta_i: FactorAction, budget) -> FactorAction:
     if cost > budget:
         raise BudgetExceeded(f"merging {k} cycles changes mass {cost} > budget {budget}")
     forward = beta_i.gens[0].forward.copy()
-    cycles = [
-        np.sort(chart.order[s:s + l])
-        for s, l in zip(chart.cycle_start, chart.cycle_len)
-    ]
-    modified = np.zeros(n, dtype=bool)
+    # each cycle's members in increasing order, cycle after cycle (cycles are
+    # numbered by increasing minimum, so a stable sort of the ids keeps that)
+    members = np.argsort(chart.cycle_of, kind="stable").tolist()
+    start = chart.cycle_start.tolist()
+    end = (chart.cycle_start + chart.cycle_len).tolist()
+    first, *partners = np.argsort(-chart.cycle_len, kind="stable").tolist()
+    fresh = [(members[start[first]], first)]  # (lowest untouched member, cycle)
+    nxt = start[:]  # per cycle, the position of its lowest untouched member
+    low = members[start[first]]
 
-    def pick(members: np.ndarray) -> int:
-        fresh = members[~modified[members]]
-        return int(fresh[0]) if len(fresh) else int(members[0])
+    def touch(c: int) -> None:
+        nxt[c] += 1
+        if nxt[c] < end[c]:
+            heapq.heappush(fresh, (members[nxt[c]], c))
 
-    while len(cycles) > 1:
-        cycles.sort(key=lambda m: (-len(m), int(m[0])))
-        big, second = cycles[0], cycles[1]
-        a = pick(big)
-        b = pick(second)
+    for c in partners:
+        if fresh:
+            a, m = heapq.heappop(fresh)
+            touch(m)
+        else:
+            a = low
+        b = members[start[c]]
+        touch(c)
         forward[a], forward[b] = forward[b], forward[a]
-        modified[a] = modified[b] = True
-        merged = np.sort(np.concatenate([big, second]))
-        cycles = [merged] + cycles[2:]
+        low = min(low, b)
     out = FactorAction(beta_i.spec, beta_i.space, (Permutation(beta_i.space, forward),))
     if not out.orbits().is_transitive:  # pragma: no cover - merges guarantee this
         raise VerificationFailed("ergodization did not produce a transitive factor")
@@ -952,15 +971,11 @@ class GammaWords:
 
     def word_perm(self, w: FreeWord) -> Permutation:
         self.alpha._check_word(w)
-        points = np.arange(self.space.n_points, dtype=np.int64)
         out = None
         for i, g in reversed(w.letters):
-            # the letter sends T y to T alpha_i(g) y: one scatter, no inverse
-            t = self.moves[i].forward
-            letter = np.empty_like(t)
-            letter[t] = t[self.alpha.factors[i].element_image_points(g, points)]
-            out = letter if out is None else letter[out]
-        return Permutation._trusted(self.space, points if out is None else out)
+            letter = self.alpha.factors[i].element_perm(g).conjugate(self.moves[i])
+            out = letter if out is None else letter.compose(out)
+        return Permutation.identity(self.space) if out is None else out
 
 
 @dataclass
@@ -1047,7 +1062,6 @@ def min_space_estimate(eps_prime: Fraction,
 
 @dataclass
 class PipelineResult:
-    gamma: FreeProductSystem
     witness: OEWitness
     report: PipelineReport
     phi: Labeling
@@ -1152,7 +1166,6 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
         alpha_p = alpha.conjugate(r_perm)
 
     rewirings: list[Permutation] = []
-    new_factors: list[FactorAction] = []
     factor_reports: list[FactorStageReport] = []
     for i in range(alpha.k):
         with _stage(f"tower_pair[{i}]"):
@@ -1163,12 +1176,11 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
         with _stage(f"matching[{i}]"):
             cd = tile_matching(cd, eps_prime)
         with _stage(f"rewiring[{i}]"):
-            s_perm, app_i = build_rewiring(alpha_p.factors[i], cd)
+            s_perm = build_rewiring(alpha_p.factors[i], cd)
         with _stage(f"budget[{i}]"):
-            budget = discrepancy_budget(app_i, beta.factors[i], cd, window[i],
-                                        sets, eps_prime, phi)
+            budget = discrepancy_budget(alpha.factors[i], r_perm, s_perm, beta.factors[i],
+                                        cd, window[i], sets, eps_prime, phi)
         rewirings.append(s_perm)
-        new_factors.append(app_i)
         defects = pair.tile.size - np.count_nonzero(cd.matched, axis=1)
         factor_reports.append(
             FactorStageReport(
@@ -1189,13 +1201,13 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
             )
         )
 
-    gamma = FreeProductSystem(tuple(new_factors))
     witness = OEWitness(conjugator=r_perm, rewirings=tuple(rewirings))
     with _stage("final"):
         words = [
             FreeWord.letter(i, g) for i, elems in enumerate(window) for g in elems
         ]
-        final = weak_discrepancy(gamma, beta, words, sets) if words and sets else Fraction(0)
+        final = (weak_discrepancy(witness.gamma_words(alpha), beta, words, sets)
+                 if words and sets else Fraction(0))
         if not final < eps:
             raise FinalDiscrepancyExceeded(
                 f"end-to-end discrepancy {final} not below {eps}"
@@ -1217,4 +1229,4 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
         orbit_check=ok,
         min_space_estimate=min_space_estimate(eps_prime, window),
     )
-    return PipelineResult(gamma=gamma, witness=witness, report=report, phi=phi, psi=psi)
+    return PipelineResult(witness=witness, report=report, phi=phi, psi=psi)

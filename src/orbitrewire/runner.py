@@ -248,7 +248,8 @@ def _verify_report_payload(report: dict, config: RunConfig, space: FiniteSpace,
     words = [FreeWord.letter(i, g) for i, elems in enumerate(window) for g in elems]
     reported = parse_rational(_field(_field(report, "final", dict), "weak_discrepancy", dict),
                               "final weak_discrepancy")
-    final = weak_discrepancy(witness.gamma_words(alpha), beta, words, sets)
+    final = (weak_discrepancy(witness.gamma_words(alpha), beta, words, sets)
+             if words and sets else Fraction(0))
     if final != reported:
         return False
     if not final < config.epsilon:

@@ -174,7 +174,7 @@ def test_acceptance_4_end_to_end():
         window = [[Z.element([1])], [Z.element([1])]]
         res = oe_approximate(alpha, beta, window, eps, sets, seed=seed)
         words = [FreeWord.letter(i, Z.element([1])) for i in range(2)]
-        final = weak_discrepancy(res.gamma, beta, words, sets)
+        final = weak_discrepancy(res.witness.gamma(alpha), beta, words, sets)
         oe_ok, _ = verify_orbit_equivalence(alpha, res.witness)
         ok &= final < eps and oe_ok and final == res.report.final_discrepancy
         worst = max(worst, final)
@@ -282,7 +282,8 @@ def test_acceptance_8_chaining():
     evens = _parity_set(sp)
     window = [[Z.element([1])], [Z.element([1])]]
     res = oe_approximate(alpha_head, beta_head, window, Fraction(19, 20), [evens], seed=4)
-    gamma_full = chain_extension(alpha_full, res.gamma, res.witness.conjugator, 2)
+    gamma_full = chain_extension(alpha_full, res.witness.gamma(alpha_head),
+                                 res.witness.conjugator, 2)
     tail_exact = gamma_full.factors[2].gens[0] == \
         alpha_full.factors[2].gens[0].conjugate(res.witness.conjugator)
     oe_ok, _ = _full_partition_check(alpha_full, gamma_full, res.witness.conjugator)

@@ -1,5 +1,8 @@
 import base64
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -326,12 +329,32 @@ GRID_CONFIG = {
      "ergodize_budget": "1/100"},
     GRID_CONFIG,
 ], ids=["rotation", "product_cycle", "ergodize_budget", "grid_shift"])
-def test_witness_derives_the_pipeline_gamma(overrides):
+def test_witness_gamma_is_the_two_step_conjugation(overrides):
+    # gamma_i = S_i (R alpha_i R^-1) S_i^-1: conjugating by S_i o R at once
+    # gives the generators and the carried charts of the two steps
     config = RunConfig.from_dict({**BASE_CONFIG, **overrides})
     result, _ = execute(config)
     alpha = generate_system(FiniteSpace(config.space_size), config.alpha)
-    derived = result.witness.gamma(alpha)
-    assert [f.gens for f in derived.factors] == [f.gens for f in result.gamma.factors]
+    witness = result.witness
+    two_step = [f.conjugate(s) for f, s in zip(alpha.conjugate(witness.conjugator).factors,
+                                               witness.rewirings, strict=True)]
+    for f, g in zip(witness.gamma(alpha).factors, two_step, strict=True):
+        assert f.gens == g.gens
+        for a, b in zip(f.charts, g.charts, strict=True):
+            assert np.array_equal(a.order, b.order)
+            assert np.array_equal(a.cycle_len, b.cycle_len)
+
+
+def test_empty_window_runs_and_verifies_without_writing_to_stderr(tmp_path):
+    # an empty window certifies a final discrepancy of 0 with no warning, in
+    # the pipeline's final stage and in the witness check alike
+    cfg = write_config(tmp_path, {"window": [[], []]})
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH", "")])}
+    for args in (["run", str(cfg)], ["verify", str(tmp_path / "report.json")]):
+        proc = subprocess.run([sys.executable, "-W", "default", "-m", "orbitrewire", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_cli_exit_code_1_on_stage_failure(tmp_path):

@@ -9,7 +9,8 @@ generated: rotations, rank-2 grid shifts (some with a torsion generator,
 some with extra orbits that are not products of their generator cycles),
 and random multi-cycle permutations; the pipeline cases run
 ``oe_approximate`` on rotation and grid systems and check the stages on the
-arguments it passed them.
+arguments it passed them.  The pipeline builds no rewired action; the
+pipeline cases rebuild it from the recorded rewiring as the budget's oracle.
 """
 
 from fractions import Fraction
@@ -40,6 +41,7 @@ from orbitrewire.errors import BudgetViolated, DefectBoundViolated, OrbitRewireE
 from orbitrewire.generate import generate_system
 from orbitrewire.rewiring import ColumnData, _loss_masks
 from orbitrewire.rohlin import tiling_base, tower_support
+from orbitrewire.space import sym_diff_mass
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -343,8 +345,7 @@ def test_build_rewiring_forward_matches_loop(data, seed):
     f = data.draw(factor_actions())
     tile = data.draw(fitting_tiles(f))
     cd = _random_columns(np.random.default_rng(seed), f, tile, tiling_base(f, tile).base)
-    s_perm, _ = build_rewiring(f, cd)
-    assert np.array_equal(s_perm.forward, rewiring_forward_loop(f, cd))
+    assert np.array_equal(build_rewiring(f, cd).forward, rewiring_forward_loop(f, cd))
 
 
 @SETTINGS
@@ -440,13 +441,20 @@ def test_pipeline_stages_match_loops(case, seed):
                           for j in (0, 1))
         assert np.array_equal(cd.sigma, sigma)
         assert np.array_equal(cd.matched, matched)
-    for (alpha_i, cd), (s_perm, _) in calls["build_rewiring"]:
+    for (alpha_i, cd), s_perm in calls["build_rewiring"]:
         assert np.array_equal(s_perm.forward, rewiring_forward_loop(alpha_i, cd))
-    for (app_i, _, cd, window, _, _, _), report in calls["discrepancy_budget"]:
+    for ((alpha_p_i, cd), s_perm), (args, report) in zip(calls["build_rewiring"],
+                                                         calls["discrepancy_budget"]):
+        _, _, s_budget, beta_i, cd_budget, window, sets, _, _ = args
+        assert s_budget is s_perm and cd_budget is cd
+        # the rewired action S alpha'_i S^-1 the pipeline no longer builds
+        app_i = alpha_p_i.conjugate(s_perm)
         for g, eb in zip(window, report.per_element):
             masses = [Fraction(int(np.count_nonzero(m)), n)
                       for m in budget_masks_loop(app_i, cd, g)]
             assert [eb.l0, eb.l1, eb.l2] == masses
+            pa, pb = app_i.element_perm(g), beta_i.element_perm(g)
+            assert eb.discrepancies == [sym_diff_mass(pa.image(a), pb.image(a)) for a in sets]
 
 
 def test_pipeline_columns_end_where_only_the_beta_name_changes():
@@ -461,10 +469,11 @@ def test_pipeline_columns_end_where_only_the_beta_name_changes():
 
 def test_budget_rejects_a_matched_level_outside_its_promised_cell():
     calls = _captured_run(ROTATIONS, 2000, Fraction(1, 10), 1)
-    (app_i, beta_i, cd, window, sets, eps, phi), _ = calls["discrepancy_budget"][0]
+    args, _ = calls["discrepancy_budget"][0]
+    cd, phi = args[4], args[8]
     s = cd.n_columns - 1
     t = int(np.nonzero(cd.matched[s])[0][-1])
     cd.name_beta = cd.name_beta.copy()
     cd.name_beta[s, t] = (cd.name_beta[s, t] + 1) % len(phi.alphabet)
     with pytest.raises(BudgetViolated, match="target-side name cell"):
-        discrepancy_budget(app_i, beta_i, cd, window, sets, eps, phi)
+        discrepancy_budget(*args)

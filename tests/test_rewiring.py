@@ -279,9 +279,7 @@ def test_build_rewiring_identity_when_sigma_identity():
         column_partitions(pair.tower_alpha, pair.tower_beta, phi),
         Fraction(1, 10),
     )
-    s_perm, app = build_rewiring(f, cd)
-    assert s_perm == Permutation.identity(sp)
-    assert app.gens[0] == f.gens[0]
+    assert build_rewiring(f, cd) == Permutation.identity(sp)
 
 
 def test_build_rewiring_swap_levels_on_z6():
@@ -302,7 +300,7 @@ def test_build_rewiring_swap_levels_on_z6():
         sigma=np.array([[0, 2, 1]]),
         matched=np.array([[True, False, False]]),
     )
-    s_perm, app = build_rewiring(f, cd)
+    s_perm = build_rewiring(f, cd)
     assert s_perm.forward.tolist() == [0, 2, 1, 3, 5, 4]
     # rewired action stays inside the original orbit
     od = f.orbits()
@@ -328,7 +326,7 @@ def test_build_rewiring_fixes_points_outside_tower():
         sigma=np.array([[0, 2, 1]]),
         matched=np.array([[True, False, False]]),
     )
-    s_perm, _ = build_rewiring(f, cd)
+    s_perm = build_rewiring(f, cd)
     for x in range(3, 10):
         assert s_perm(x) == x
 
@@ -345,8 +343,9 @@ def test_discrepancy_budget_self_rewiring_zero():
     eps = Fraction(1, 16)
     pair = tower_pair(f, f, phi, [Z.element([1])], eps)
     cd = tile_matching(column_partitions(pair.tower_alpha, pair.tower_beta, phi), eps)
-    s_perm, app = build_rewiring(f, cd)
-    report = discrepancy_budget(app, f, cd, [Z.element([1])], [evens], eps, phi)
+    s_perm = build_rewiring(f, cd)
+    report = discrepancy_budget(f, Permutation.identity(sp), s_perm, f, cd, [Z.element([1])],
+                                [evens], eps, phi)
     assert report.ok
     for eb in report.per_element:
         assert eb.residual_empty
@@ -360,8 +359,9 @@ def test_discrepancy_budget_identity_element_no_shift_loss():
     eps = Fraction(1, 16)
     pair = tower_pair(f, f, phi, [Z.element([1])], eps)
     cd = tile_matching(column_partitions(pair.tower_alpha, pair.tower_beta, phi), eps)
-    _, app = build_rewiring(f, cd)
-    report = discrepancy_budget(app, f, cd, [Z.identity()], [PointSet.full(sp)], eps, phi)
+    s_perm = build_rewiring(f, cd)
+    report = discrepancy_budget(f, Permutation.identity(sp), s_perm, f, cd, [Z.identity()],
+                                [PointSet.full(sp)], eps, phi)
     assert report.per_element[0].l1 == 0
 
 
@@ -424,6 +424,52 @@ def test_make_factor_ergodic_exact_cost_random():
             [PointSet.from_indices(sp, range(0, n, 3))],
         )
         assert d <= Fraction(2 * (k - 1), n)
+
+
+def make_factor_ergodic_loop(f: FactorAction) -> np.ndarray:
+    """The former merge loop, kept as the oracle: every merge re-sorts the
+    cycles by (-length, minimum) and re-sorts the merged cycle's members."""
+    chart = f.charts[0]
+    forward = f.gens[0].forward.copy()
+    cycles = [np.sort(chart.order[s:s + l]) for s, l in zip(chart.cycle_start, chart.cycle_len)]
+    modified = np.zeros(f.space.n_points, dtype=bool)
+
+    def pick(members):
+        fresh = members[~modified[members]]
+        return int(fresh[0]) if len(fresh) else int(members[0])
+
+    while len(cycles) > 1:
+        cycles.sort(key=lambda m: (-len(m), int(m[0])))
+        big, second = cycles[0], cycles[1]
+        a = pick(big)
+        b = pick(second)
+        forward[a], forward[b] = forward[b], forward[a]
+        modified[a] = modified[b] = True
+        cycles = [np.sort(np.concatenate([big, second]))] + cycles[2:]
+    return forward
+
+
+@st.composite
+def cycle_permutations(draw) -> np.ndarray:
+    """A permutation with drawn cycle lengths (many ties, fixed points) on
+    shuffled points, or a uniformly drawn one."""
+    if draw(st.booleans()):
+        return np.asarray(draw(st.permutations(range(draw(st.integers(1, 80))))))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=30))
+    points = np.asarray(draw(st.permutations(range(sum(lengths)))), dtype=np.int64)
+    forward = np.empty(len(points), dtype=np.int64)
+    for cyc in np.split(points, np.cumsum(lengths)[:-1]):
+        forward[cyc] = np.roll(cyc, -1)
+    return forward
+
+
+@settings(max_examples=300, deadline=None)
+@given(cycle_permutations())
+def test_make_factor_ergodic_matches_the_merge_loop(forward):
+    sp = FiniteSpace(len(forward))
+    f = FactorAction(Z, sp, (Permutation(sp, forward),))
+    out = make_factor_ergodic(f, Fraction(2))  # 2(k-1)/N < 2
+    assert np.array_equal(out.gens[0].forward, make_factor_ergodic_loop(f))
 
 
 # ---------------------------------------------------------------------------
@@ -660,10 +706,31 @@ def test_oe_approximate_small_end_to_end():
     assert res.report.orbit_check
     # independent recomputation of the reported discrepancy
     words = [FreeWord.letter(0, Z.element([1])), FreeWord.letter(1, Z.element([1]))]
-    again = weak_discrepancy(res.gamma, beta, words, [evens])
+    again = weak_discrepancy(res.witness.gamma(alpha), beta, words, [evens])
     assert again == res.report.final_discrepancy
     ok, _ = verify_orbit_equivalence(alpha, res.witness)
     assert ok
+
+
+@pytest.mark.parametrize("alpha_steps, beta_steps", [((1, 3), (1, 7)), ((1, 3, 5), (1, 7, 9))])
+def test_oe_approximate_conjugates_each_factor_once(monkeypatch, alpha_steps, beta_steps):
+    # alpha -> R alpha R^-1 is the only conjugation: no rewired factor is built
+    conjugated = []
+    conjugate = FactorAction.conjugate
+
+    def counted(f, r):
+        conjugated.append(f)
+        return conjugate(f, r)
+
+    monkeypatch.setattr(FactorAction, "conjugate", counted)
+    sp = FiniteSpace(4096)
+    alpha = rotation_system(sp, *alpha_steps)
+    beta = rotation_system(sp, *beta_steps)
+    window = [[Z.element([1])] for _ in alpha_steps]
+    evens = PointSet(sp, np.arange(4096) % 2 == 0)
+    res = oe_approximate(alpha, beta, window, Fraction(4, 5), [evens], seed=7)
+    assert res.report.orbit_check
+    assert conjugated == list(alpha.factors)
 
 
 def test_oe_approximate_constant_partition_degenerate():
@@ -691,7 +758,7 @@ def test_oe_approximate_multi_orbit_alpha_orbit_equivalence_meaningful():
     res = oe_approximate(alpha, beta, window, Fraction(19, 20), [evens], seed=4)
     assert res.report.orbit_check
     assert alpha.full_orbit_decomposition().n_orbits == 2
-    assert res.gamma.full_orbit_decomposition().n_orbits == 2
+    assert res.witness.gamma(alpha).full_orbit_decomposition().n_orbits == 2
     assert res.report.final_discrepancy < Fraction(19, 20)
 
 
