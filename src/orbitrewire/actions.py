@@ -1,18 +1,24 @@
 """Permutation actions of abelian factors and their free products.
 
 The workhorse here is the cycle chart of each generator permutation: points
-listed cycle by cycle with per-point positions.  Charts turn arbitrary powers
-g^j into O(1) index arithmetic and box-window sums into circular prefix-sum
-differences, which keeps every tower/name/average computation linear in the
-space size instead of linear in |tile| * N.  ``window_sum`` gives such sums
-in point order.  The tile search reads a factor's orbits in product
-coordinates instead (``rewiring._GoodSetEvaluator``), because its bad counts
-do not depend on point order: ``rohlin.orbit_alignment`` groups the orbits
-by shape into C x d_0 x ... x d_{m-1} point arrays, built by one chained
-``consecutive_images`` pass per shape (for a single generator the rows are
-its cycles).  Only a factor with an orbit that is not a product of its
-generator cycles still sums box windows in point order, by
+listed cycle by cycle with per-point positions.  Charts turn powers g^j other
+than +-1 into O(1) index arithmetic and box-window sums into circular
+prefix-sum differences, which keeps every tower/name/average computation
+linear in the space size instead of linear in |tile| * N.  ``window_sum``
+gives such sums in point order.  The tile search reads a factor's orbits in
+product coordinates instead (``rewiring._GoodSetEvaluator``), because its
+bad counts do not depend on point order: ``rohlin.orbit_alignment`` groups
+the orbits by shape into C x d_0 x ... x d_{m-1} point arrays, built by one
+chained ``consecutive_images`` pass per shape (for a single generator the
+rows are its cycles).  Only a factor with an orbit that is not a product of
+its generator cycles still sums box windows in point order, by
 ``FactorAction.window_counts``.
+
+Window letters read the generators, not the charts: a power +-1 is one
+gather through the generator's forward or inverse array, the unit letter
+e_d is generator d itself, and e_d^j fixes x exactly when j is a multiple of
+the length of x's cycle, which the chart lists.  So charts serve the other
+powers, the tiles and the orbits.
 
 A chart is its cycle listing: ``CycleChart(order, cycle_len)`` derives the
 per-point arrays in O(N), and every chart is made by that constructor.  The
@@ -41,7 +47,7 @@ import itertools
 import warnings
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -240,7 +246,8 @@ class FactorAction:
     each generator's chart is built by :meth:`CycleChart.of`; given charts
     (a template's closed form, or charts carried through conjugation) must
     each pass :meth:`CycleChart.follows`, or construction raises
-    ``VerificationFailed``.
+    ``VerificationFailed``.  ``_memo`` keeps what is derived once per action:
+    the orbit alignment, and each letter other than a unit one.
     """
 
     __slots__ = ("spec", "space", "gens", "charts", "_orbits", "_memo")
@@ -283,20 +290,42 @@ class FactorAction:
         self._memo: dict = {}
 
     def element_image_points(self, g: AbelianElement, points: np.ndarray) -> np.ndarray:
+        """g applied to an array of points: a power of 1 or -1 is one gather
+        through the generator's forward or inverse array, other powers walk
+        its chart."""
         if g.spec != self.spec:
             raise SpecMismatch("element from a different group spec")
         out = np.asarray(points, dtype=np.int64)
         for d, power in enumerate(g.coords):
-            if power:
+            if power == 1:
+                out = self.gens[d].forward[out]
+            elif power == -1:
+                out = self.gens[d].inverse_array[out]
+            elif power:
                 out = self.charts[d].power_image(power, out)
         return out
 
     def element_perm(self, g: AbelianElement) -> Permutation:
-        # the charts follow the generators, so every g is a bijection
-        return Permutation._trusted(
-            self.space,
-            self.element_image_points(g, np.arange(self.space.n_points, dtype=np.int64)),
-        )
+        """g's permutation of the space.
+
+        The unit letter e_d is generator d itself.  Any other element is built
+        once from :meth:`element_image_points` and kept under its coords, so
+        every stage that reads a letter of this action shares one array.
+        """
+        if g.spec != self.spec:
+            raise SpecMismatch("element from a different group spec")
+        d = _single_coordinate(g.coords)
+        if d is not None and g.coords[d] == 1:
+            return self.gens[d]
+        perm = self._memo.get(g.coords)
+        if perm is None:
+            # the generators are bijections, so every g is one
+            perm = Permutation._trusted(
+                self.space,
+                self.element_image_points(g, np.arange(self.space.n_points, dtype=np.int64)),
+            )
+            self._memo[g.coords] = perm
+        return perm
 
     def element_image_set(self, g: AbelianElement, s: PointSet) -> PointSet:
         idx = self.element_image_points(g, s.indices())
@@ -430,6 +459,12 @@ def orbit_decomposition(f: FactorAction, factor_index: int | None = None) -> Orb
     return replace(od, factor_index=factor_index)
 
 
+def _single_coordinate(coords: tuple[int, ...]) -> int | None:
+    """The index d when coords is a power of generator d alone, else None."""
+    nonzero = [d for d, c in enumerate(coords) if c]
+    return nonzero[0] if len(nonzero) == 1 else None
+
+
 def act(f: FactorAction, g: AbelianElement, x: int) -> int:
     """g . x, applying generator powers (order irrelevant by commutativity)."""
     f.space.check_point(x)
@@ -475,10 +510,10 @@ class FreeProductSystem:
         return out
 
     def word_perm(self, w: FreeWord) -> Permutation:
-        return Permutation(
-            self.space,
-            self.word_image_points(w, np.arange(self.space.n_points, dtype=np.int64)),
-        )
+        """The word's permutation, composed from its letters' ``element_perm``."""
+        self._check_word(w)
+        return compose_letters(self.space, (self.factors[i].element_perm(g)
+                                            for i, g in reversed(w.letters)))
 
     def word_image_set(self, w: FreeWord, s: PointSet) -> PointSet:
         idx = self.word_image_points(w, s.indices())
@@ -496,6 +531,15 @@ class FreeProductSystem:
 
     def __repr__(self) -> str:
         return f"FreeProductSystem(k={self.k}, N={self.space.n_points})"
+
+
+def compose_letters(space: FiniteSpace, letters: Iterable[Permutation]) -> Permutation:
+    """The word of letter permutations listed in acting order, first acting
+    first; the empty word is the identity and a one-letter word its letter."""
+    out = None
+    for p in letters:
+        out = p if out is None else p.compose(out)
+    return Permutation.identity(space) if out is None else out
 
 
 def act_word(s: FreeProductSystem, w: FreeWord, x: int) -> int:
@@ -573,7 +617,10 @@ def freeness_defect(f, window) -> Fraction:
     """Mass of points fixed by some nontrivial window element.
 
     ``f`` is a FactorAction with a window of AbelianElement, or a
-    FreeProductSystem with a window of FreeWord.
+    FreeProductSystem with a window of FreeWord.  A factor element e_d^j
+    fixes x exactly when the length of x's cycle under generator d divides
+    j, which its chart's cycle lengths answer; every other element compares
+    its images with the points.
     """
     if isinstance(f, FactorAction):
         image_points = f.element_image_points
@@ -586,5 +633,14 @@ def freeness_defect(f, window) -> Fraction:
     points = np.arange(f.space.n_points, dtype=np.int64)
     fixed = np.zeros(f.space.n_points, dtype=bool)
     for w in window:
-        fixed |= image_points(w, points) == points
+        d = None
+        if isinstance(f, FactorAction):
+            if w.spec != f.spec:
+                raise SpecMismatch("element from a different group spec")
+            d = _single_coordinate(w.coords)
+        if d is None:
+            fixed |= image_points(w, points) == points
+        else:
+            chart = f.charts[d]
+            fixed |= (w.coords[d] % chart.cycle_len == 0)[chart.cycle_of]
     return Fraction(int(np.count_nonzero(fixed)), f.space.n_points)

@@ -7,11 +7,13 @@ weakly close to ``beta`` on a requested family of group elements and sets:
 1. partition the space by how ``beta`` moves the target sets (``phi``);
 2. build a labeling ``psi`` with the same cell masses whose cells are
    equidistributed along most ``alpha`` orbits (good partition);
-3. conjugate ``alpha`` by the cell-matching automorphism R into alpha';
-4. per factor, erect matching Rohlin towers for alpha'_i and beta_i over a
-   common box tile whose levels are label-pure, split the bases into
-   equal-mass columns, match tile elements of equal label within each column,
-   and build the rewiring S_i that moves each column's levels by its matching;
+3. match the two labelings cell by cell with an automorphism R;
+4. per factor, conjugate alpha_i by R into alpha'_i, which is held only
+   until its rewiring is built; erect matching Rohlin towers for alpha'_i
+   and beta_i over a common box tile whose levels are label-pure, split the
+   bases into equal-mass columns, match tile elements of equal label within
+   each column, and build the rewiring S_i that moves each column's levels
+   by its matching;
 5. certify, with exact arithmetic, the three-part mass budget that bounds the
    final discrepancy, re-verify the weak discrepancy from scratch, and check
    the orbit partition equality factor by factor: gamma's partition is the
@@ -47,12 +49,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .actions import FactorAction, FreeProductSystem, weak_discrepancy
+from .actions import FactorAction, FreeProductSystem, compose_letters, weak_discrepancy
 from .errors import (
     BaseSizeMismatch,
     BudgetExceeded,
     BudgetViolated,
     ConfigError,
+    CoverageShortfall,
     DefectBoundViolated,
     FinalDiscrepancyExceeded,
     LevelOverlap,
@@ -397,7 +400,10 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
     the smallest tile that is window-invariant within eps', has more than
     1/eps' elements, can reach tiling coverage above 1 - 4*eps' on both
     actions, and whose good sets both have mass above 1 - 2*eps'.  The towers
-    avoid the union of bad points and get equal base sizes by trimming.
+    avoid the union of bad points and get equal base sizes by trimming.  On
+    a small model with unaligned orbits, where candidates may skip the
+    coverage prefilter, a side whose towers fall short of their coverage
+    floor is passed over; elsewhere that shortfall ends the search.
     """
     eps = exact_fraction(eps_prime)
     if alpha_i.spec != beta_i.spec:
@@ -476,8 +482,15 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
         ga, mass_a = res_a
         gb, mass_b = res_b
         avoid = PointSet(alpha_i.space, ~(ga & gb))
-        tw_a = rohlin_avoiding(alpha_i, tile, 8 * eps, avoid, factor_index=factor_index)
-        tw_b = rohlin_avoiding(beta_i, tile, 8 * eps, avoid, factor_index=factor_index)
+        try:
+            tw_a = rohlin_avoiding(alpha_i, tile, 8 * eps, avoid, factor_index=factor_index)
+            tw_b = rohlin_avoiding(beta_i, tile, 8 * eps, avoid, factor_index=factor_index)
+        except CoverageShortfall:
+            # a small model's candidate may have skipped the coverage
+            # prefilter, so its shortfall rules out only this side
+            if not small_model:
+                raise
+            continue
         tw_a, tw_b = equalize_bases(tw_a, tw_b)
         coverage = Fraction(tile.size * tw_a.base.size, n)
         if coverage <= 1 - 8 * eps:
@@ -726,15 +739,16 @@ def _loss_masks(n: int, tile: Tile, levels: np.ndarray, matched: np.ndarray,
     return l1_mask, l2_mask
 
 
-def discrepancy_budget(alpha_i: FactorAction, r: Permutation, s: Permutation,
+def discrepancy_budget(alpha_i: FactorAction, s: Permutation, t: Permutation,
                        beta_i: FactorAction, cd: ColumnData,
                        window: Sequence[AbelianElement], sets: Sequence[PointSet],
                        eps_prime, phi: Labeling) -> BudgetReport:
     """Exact masses of the three discrepancy sources, per window element.
 
-    gamma_i = T alpha_i T^-1 with T = S o R (``s``, ``r``) is read through the
-    charts of alpha's own factor ``alpha_i``.  S fixes the base and sends level
-    t of a column to level sigma(t), so gamma_i's levels are S of ``cd.levels``.
+    gamma_i = T alpha_i T^-1 with T = S o R (``t``) is read through alpha's
+    own factor ``alpha_i``: each letter is alpha_i's, conjugated by T.  S
+    (``s``) fixes the base and sends level t of a column to level sigma(t), so
+    gamma_i's levels are S of ``cd.levels``.
 
     L0 is the tower complement, L1 the levels lost to tile shift, L2 the
     levels of unmatched tile positions; off their union the rewired and
@@ -747,7 +761,6 @@ def discrepancy_budget(alpha_i: FactorAction, r: Permutation, s: Permutation,
     n = alpha_i.space.n_points
     k_sym = cd.alphabet_size
     levels = s.forward[cd.levels]
-    t = s.compose(r)
     matched = cd.per_point(cd.matched)
     l0_mask = np.ones(n, dtype=bool)
     l0_mask[levels] = False
@@ -958,7 +971,7 @@ def verify_orbit_equivalence(alpha: FreeProductSystem,
 # ---------------------------------------------------------------------------
 
 class GammaWords:
-    """gamma's word permutations read through alpha's charts: letter (i, g)
+    """gamma's word permutations read through alpha's letters: letter (i, g)
     acts as T_i alpha_i(g) T_i^-1 with T_i = S_i o R.  It has the ``space``
     and ``word_perm`` of a system, which is all ``weak_discrepancy`` reads."""
 
@@ -971,11 +984,9 @@ class GammaWords:
 
     def word_perm(self, w: FreeWord) -> Permutation:
         self.alpha._check_word(w)
-        out = None
-        for i, g in reversed(w.letters):
-            letter = self.alpha.factors[i].element_perm(g).conjugate(self.moves[i])
-            out = letter if out is None else letter.compose(out)
-        return Permutation.identity(self.space) if out is None else out
+        return compose_letters(self.space, (
+            self.alpha.factors[i].element_perm(g).conjugate(self.moves[i])
+            for i, g in reversed(w.letters)))
 
 
 @dataclass
@@ -1163,24 +1174,29 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
 
     with _stage("conjugator"):
         r_perm = match_labels_conjugator(psi, phi)
-        alpha_p = alpha.conjugate(r_perm)
 
     rewirings: list[Permutation] = []
+    moves: list[Permutation] = []  # T_i = S_i o R, composed once per factor
     factor_reports: list[FactorStageReport] = []
     for i in range(alpha.k):
+        with _stage("conjugator"):
+            alpha_p_i = alpha.factors[i].conjugate(r_perm)
         with _stage(f"tower_pair[{i}]"):
-            pair = tower_pair(alpha_p.factors[i], beta.factors[i], phi, window[i],
+            pair = tower_pair(alpha_p_i, beta.factors[i], phi, window[i],
                               eps_prime, tile_cap=tile_cap, factor_index=i)
         with _stage(f"columns[{i}]"):
             cd = column_partitions(pair.tower_alpha, pair.tower_beta, phi)
         with _stage(f"matching[{i}]"):
             cd = tile_matching(cd, eps_prime)
         with _stage(f"rewiring[{i}]"):
-            s_perm = build_rewiring(alpha_p.factors[i], cd)
+            s_perm = build_rewiring(alpha_p_i, cd)
+        del alpha_p_i
         with _stage(f"budget[{i}]"):
-            budget = discrepancy_budget(alpha.factors[i], r_perm, s_perm, beta.factors[i],
+            t_perm = s_perm.compose(r_perm)
+            budget = discrepancy_budget(alpha.factors[i], s_perm, t_perm, beta.factors[i],
                                         cd, window[i], sets, eps_prime, phi)
         rewirings.append(s_perm)
+        moves.append(t_perm)
         defects = pair.tile.size - np.count_nonzero(cd.matched, axis=1)
         factor_reports.append(
             FactorStageReport(
@@ -1206,7 +1222,7 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
         words = [
             FreeWord.letter(i, g) for i, elems in enumerate(window) for g in elems
         ]
-        final = (weak_discrepancy(witness.gamma_words(alpha), beta, words, sets)
+        final = (weak_discrepancy(GammaWords(alpha, moves), beta, words, sets)
                  if words and sets else Fraction(0))
         if not final < eps:
             raise FinalDiscrepancyExceeded(

@@ -15,7 +15,7 @@ decodes to another length, or holds no bijection of the N points is a
 ConfigError.  Verification rebuilds alpha, beta and the target sets from
 the embedded config and checks the witness without building gamma: the
 final discrepancy is recomputed from gamma's word permutations read through
-alpha's charts (``OEWitness.gamma_words``), and the orbit check asks factor
+alpha's letters (``OEWitness.gamma_words``), and the orbit check asks factor
 by factor whether each S_i keeps the orbits of R alpha_i R^-1
 (``verify_orbit_equivalence``).  A run checks its report before writing it:
 the config echo must parse back to the run's config, and the packed witness

@@ -445,10 +445,12 @@ def test_pipeline_stages_match_loops(case, seed):
         assert np.array_equal(s_perm.forward, rewiring_forward_loop(alpha_i, cd))
     for ((alpha_p_i, cd), s_perm), (args, report) in zip(calls["build_rewiring"],
                                                          calls["discrepancy_budget"]):
-        _, _, s_budget, beta_i, cd_budget, window, sets, _, _ = args
+        alpha_i, s_budget, t_budget, beta_i, cd_budget, window, sets, _, _ = args
         assert s_budget is s_perm and cd_budget is cd
         # the rewired action S alpha'_i S^-1 the pipeline no longer builds
         app_i = alpha_p_i.conjugate(s_perm)
+        # T = S o R carries alpha's own factor onto it
+        assert all(p.conjugate(t_budget) == q for p, q in zip(alpha_i.gens, app_i.gens))
         for g, eb in zip(window, report.per_element):
             masses = [Fraction(int(np.count_nonzero(m)), n)
                       for m in budget_masks_loop(app_i, cd, g)]

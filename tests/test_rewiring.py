@@ -32,9 +32,11 @@ from orbitrewire import (
     verify_orbit_equivalence,
     weak_discrepancy,
 )
+from orbitrewire import rewiring
 from orbitrewire.errors import (
     BaseSizeMismatch,
     BudgetExceeded,
+    CoverageShortfall,
     DefectBoundViolated,
     PushforwardMismatch,
     RankUnsupported,
@@ -105,6 +107,51 @@ def test_tower_pair_parity_windows_exact():
     assert pair.good_mass_alpha == 1
     assert pair.good_mass_beta == 1
     assert pair.side > 24  # |T| must exceed 1/eps'
+
+
+def _lattice_factor(sp: FiniteSpace, k: int) -> FactorAction:
+    """Z^2 acting on Z/N by steps 1 and k: its orbit is no product of cycles."""
+    x = np.arange(sp.n_points)
+    return FactorAction(AbelianGroupSpec(2), sp, (Permutation(sp, (x + 1) % sp.n_points),
+                                                  Permutation(sp, (x + k) % sp.n_points)))
+
+
+def test_tower_pair_small_model_moves_past_a_coverage_shortfall(monkeypatch):
+    # the orbit is unaligned, so candidates skip the coverage prefilter; the
+    # tiling of the first one that reaches the towers falls short, and the
+    # search must go on to the next side instead of ending
+    sp = FiniteSpace(1600)
+    alpha_f, beta_f = _lattice_factor(sp, 31), _lattice_factor(sp, 61)
+    window = [AbelianGroupSpec(2).generator(d) for d in range(2)]
+    evens = PointSet(sp, np.arange(1600) % 2 == 0)
+    phi = generated_partition(sp, [evens] + [beta_f.element_image_set(g, evens)
+                                             for g in window])
+    shortfalls = []
+    rohlin_avoiding = rewiring.rohlin_avoiding
+
+    def recorded(*args, **kwargs):
+        try:
+            return rohlin_avoiding(*args, **kwargs)
+        except CoverageShortfall as exc:
+            shortfalls.append(exc)
+            raise
+
+    monkeypatch.setattr(rewiring, "rohlin_avoiding", recorded)
+    pair = tower_pair(alpha_f, beta_f, phi, window, Fraction(1, 8))
+    assert shortfalls
+    assert pair.side == 25
+
+
+def test_tower_pair_aligned_coverage_shortfall_still_raises(monkeypatch):
+    sp = FiniteSpace(256)
+    f = rotation(sp, 1)
+
+    def short(*args, **kwargs):
+        raise CoverageShortfall("no tiling")
+
+    monkeypatch.setattr(rewiring, "rohlin_avoiding", short)
+    with pytest.raises(CoverageShortfall):
+        tower_pair(f, f, Labeling.constant(sp, ()), [Z.element([1])], Fraction(1, 24))
 
 
 def test_equalize_bases_trims_highest_indices():
@@ -344,8 +391,8 @@ def test_discrepancy_budget_self_rewiring_zero():
     pair = tower_pair(f, f, phi, [Z.element([1])], eps)
     cd = tile_matching(column_partitions(pair.tower_alpha, pair.tower_beta, phi), eps)
     s_perm = build_rewiring(f, cd)
-    report = discrepancy_budget(f, Permutation.identity(sp), s_perm, f, cd, [Z.element([1])],
-                                [evens], eps, phi)
+    # R is the identity, so T = S o R is S
+    report = discrepancy_budget(f, s_perm, s_perm, f, cd, [Z.element([1])], [evens], eps, phi)
     assert report.ok
     for eb in report.per_element:
         assert eb.residual_empty
@@ -360,7 +407,7 @@ def test_discrepancy_budget_identity_element_no_shift_loss():
     pair = tower_pair(f, f, phi, [Z.element([1])], eps)
     cd = tile_matching(column_partitions(pair.tower_alpha, pair.tower_beta, phi), eps)
     s_perm = build_rewiring(f, cd)
-    report = discrepancy_budget(f, Permutation.identity(sp), s_perm, f, cd, [Z.identity()],
+    report = discrepancy_budget(f, s_perm, s_perm, f, cd, [Z.identity()],
                                 [PointSet.full(sp)], eps, phi)
     assert report.per_element[0].l1 == 0
 
