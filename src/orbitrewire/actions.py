@@ -2,7 +2,7 @@
 
 The workhorse here is the cycle chart of each generator permutation: points
 listed cycle by cycle with per-point positions.  Charts turn powers g^j other
-than +-1 into O(1) index arithmetic and box-window sums into circular
+than 1 into O(1) index arithmetic and box-window sums into circular
 prefix-sum differences, which keeps every tower/name/average computation
 linear in the space size instead of linear in |tile| * N.  ``window_sum``
 gives such sums in point order.  The tile search reads a factor's orbits in
@@ -14,10 +14,10 @@ rows are its cycles).  Only a factor with an orbit that is not a product of
 its generator cycles still sums box windows in point order, by
 ``FactorAction.window_counts``.
 
-Window letters read the generators, not the charts: a power +-1 is one
-gather through the generator's forward or inverse array, the unit letter
-e_d is generator d itself, and e_d^j fixes x exactly when j is a multiple of
-the length of x's cycle, which the chart lists.  So charts serve the other
+Window letters read the generators, not the charts: a power 1 is one
+gather through the generator's forward array, the unit letter e_d is
+generator d itself, and e_d^j fixes x exactly when j is a multiple of the
+length of x's cycle, which the chart lists.  So charts serve the other
 powers, the tiles and the orbits.
 
 A chart is its cycle listing: ``CycleChart(order, cycle_len)`` derives the
@@ -246,8 +246,7 @@ class FactorAction:
     each generator's chart is built by :meth:`CycleChart.of`; given charts
     (a template's closed form, or charts carried through conjugation) must
     each pass :meth:`CycleChart.follows`, or construction raises
-    ``VerificationFailed``.  ``_memo`` keeps what is derived once per action:
-    the orbit alignment, and each letter other than a unit one.
+    ``VerificationFailed``.
     """
 
     __slots__ = ("spec", "space", "gens", "charts", "_orbits", "_memo")
@@ -290,42 +289,31 @@ class FactorAction:
         self._memo: dict = {}
 
     def element_image_points(self, g: AbelianElement, points: np.ndarray) -> np.ndarray:
-        """g applied to an array of points: a power of 1 or -1 is one gather
-        through the generator's forward or inverse array, other powers walk
-        its chart."""
+        """g applied to an array of points: a power of 1 is one gather
+        through the generator's forward array, other powers walk its chart."""
         if g.spec != self.spec:
             raise SpecMismatch("element from a different group spec")
         out = np.asarray(points, dtype=np.int64)
         for d, power in enumerate(g.coords):
             if power == 1:
                 out = self.gens[d].forward[out]
-            elif power == -1:
-                out = self.gens[d].inverse_array[out]
             elif power:
                 out = self.charts[d].power_image(power, out)
         return out
 
     def element_perm(self, g: AbelianElement) -> Permutation:
-        """g's permutation of the space.
-
-        The unit letter e_d is generator d itself.  Any other element is built
-        once from :meth:`element_image_points` and kept under its coords, so
-        every stage that reads a letter of this action shares one array.
-        """
+        """g's permutation of the space: the unit letter e_d is generator d
+        itself, any other element is built from :meth:`element_image_points`."""
         if g.spec != self.spec:
             raise SpecMismatch("element from a different group spec")
         d = _single_coordinate(g.coords)
         if d is not None and g.coords[d] == 1:
             return self.gens[d]
-        perm = self._memo.get(g.coords)
-        if perm is None:
-            # the generators are bijections, so every g is one
-            perm = Permutation._trusted(
-                self.space,
-                self.element_image_points(g, np.arange(self.space.n_points, dtype=np.int64)),
-            )
-            self._memo[g.coords] = perm
-        return perm
+        # the generators are bijections, so every g is one
+        return Permutation._trusted(
+            self.space,
+            self.element_image_points(g, np.arange(self.space.n_points, dtype=np.int64)),
+        )
 
     def element_image_set(self, g: AbelianElement, s: PointSet) -> PointSet:
         idx = self.element_image_points(g, s.indices())

@@ -45,6 +45,11 @@ class CoverageShortfall(OrbitRewireError):
     code = "COVERAGE_SHORTFALL"
 
 
+class CoverageBelowFloor(CoverageShortfall):
+    """A tower whose levels are disjoint covers too little: the shortfall
+    of that tile alone, unlike a refused sweep or an overlap."""
+
+
 class HypothesisViolated(OrbitRewireError):
     code = "HYPOTHESIS_VIOLATED"
 

@@ -55,7 +55,7 @@ from .errors import (
     BudgetExceeded,
     BudgetViolated,
     ConfigError,
-    CoverageShortfall,
+    CoverageBelowFloor,
     DefectBoundViolated,
     FinalDiscrepancyExceeded,
     LevelOverlap,
@@ -403,7 +403,8 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
     avoid the union of bad points and get equal base sizes by trimming.  On
     a small model with unaligned orbits, where candidates may skip the
     coverage prefilter, a side whose towers fall short of their coverage
-    floor is passed over; elsewhere that shortfall ends the search.
+    floor (``CoverageBelowFloor``) is passed over; elsewhere that shortfall
+    ends the search, as every other error of the Rohlin stage does.
     """
     eps = exact_fraction(eps_prime)
     if alpha_i.spec != beta_i.spec:
@@ -485,9 +486,10 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
         try:
             tw_a = rohlin_avoiding(alpha_i, tile, 8 * eps, avoid, factor_index=factor_index)
             tw_b = rohlin_avoiding(beta_i, tile, 8 * eps, avoid, factor_index=factor_index)
-        except CoverageShortfall:
+        except CoverageBelowFloor:
             # a small model's candidate may have skipped the coverage
-            # prefilter, so its shortfall rules out only this side
+            # prefilter, so its shortfall rules out only this side; a refused
+            # sweep or overlapping levels still end the search
             if not small_model:
                 raise
             continue
@@ -739,16 +741,17 @@ def _loss_masks(n: int, tile: Tile, levels: np.ndarray, matched: np.ndarray,
     return l1_mask, l2_mask
 
 
-def discrepancy_budget(alpha_i: FactorAction, s: Permutation, t: Permutation,
+def discrepancy_budget(alpha_i: FactorAction, t: Permutation, levels: np.ndarray,
                        beta_i: FactorAction, cd: ColumnData,
                        window: Sequence[AbelianElement], sets: Sequence[PointSet],
                        eps_prime, phi: Labeling) -> BudgetReport:
     """Exact masses of the three discrepancy sources, per window element.
 
     gamma_i = T alpha_i T^-1 with T = S o R (``t``) is read through alpha's
-    own factor ``alpha_i``: each letter is alpha_i's, conjugated by T.  S
-    (``s``) fixes the base and sends level t of a column to level sigma(t), so
-    gamma_i's levels are S of ``cd.levels``.
+    own factor ``alpha_i``: each letter is alpha_i's, conjugated by T.
+    ``levels`` is gamma_i's level array, S of ``cd.levels``: the rewiring S
+    fixes the base and sends a column's level at tile position p to the
+    level at sigma(p).
 
     L0 is the tower complement, L1 the levels lost to tile shift, L2 the
     levels of unmatched tile positions; off their union the rewired and
@@ -760,7 +763,6 @@ def discrepancy_budget(alpha_i: FactorAction, s: Permutation, t: Permutation,
     tile = cd.tile
     n = alpha_i.space.n_points
     k_sym = cd.alphabet_size
-    levels = s.forward[cd.levels]
     matched = cd.per_point(cd.matched)
     l0_mask = np.ones(n, dtype=bool)
     l0_mask[levels] = False
@@ -1193,8 +1195,8 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
         del alpha_p_i
         with _stage(f"budget[{i}]"):
             t_perm = s_perm.compose(r_perm)
-            budget = discrepancy_budget(alpha.factors[i], s_perm, t_perm, beta.factors[i],
-                                        cd, window[i], sets, eps_prime, phi)
+            budget = discrepancy_budget(alpha.factors[i], t_perm, s_perm.forward[cd.levels],
+                                        beta.factors[i], cd, window[i], sets, eps_prime, phi)
         rewirings.append(s_perm)
         moves.append(t_perm)
         defects = pair.tile.size - np.count_nonzero(cd.matched, axis=1)

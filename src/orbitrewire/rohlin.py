@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .actions import FactorAction
-from .errors import CoverageShortfall, HypothesisViolated, TileTooLarge
+from .errors import CoverageBelowFloor, CoverageShortfall, HypothesisViolated, TileTooLarge
 from .groups import Tile
 from .space import PointSet, exact_fraction, measure
 
@@ -142,8 +142,9 @@ def tiling_base(f: FactorAction, t: Tile, coverage_floor=None) -> Tower:
     sweep over the other orbits (guarded by a cost cap), which needs no
     knowledge of the packed ones because a tile never leaves its orbit.
     Raises TILE_TOO_LARGE when the tile cannot fit in the smallest orbit and
-    COVERAGE_SHORTFALL when the achieved coverage falls below the caller's
-    floor.
+    COVERAGE_SHORTFALL when the sweep is refused, when levels overlap, or
+    (as ``CoverageBelowFloor``) when the achieved coverage falls below the
+    caller's floor.
     """
     if t.spec != f.spec:
         raise ValueError("tile spec does not match the action")
@@ -174,7 +175,7 @@ def tiling_base(f: FactorAction, t: Tile, coverage_floor=None) -> Tower:
         raise CoverageShortfall("internal error: constructed base has overlapping levels")
     coverage = measure(support)
     if coverage_floor is not None and coverage < exact_fraction(coverage_floor):
-        raise CoverageShortfall(
+        raise CoverageBelowFloor(
             f"achieved coverage {coverage} below floor {coverage_floor}",
             coverage=coverage,
         )
@@ -262,7 +263,7 @@ def rohlin_avoiding(f: FactorAction, t: Tile, eps, avoid: PointSet,
     # tiling_base certified the levels of W disjoint, so they cover |T||W|
     coverage = Fraction(t.size * w.base.size, f.space.n_points)
     if coverage <= floor:
-        raise CoverageShortfall(
+        raise CoverageBelowFloor(
             f"tiling base coverage {coverage} not strictly above {floor}"
         )
     # per tile element, how much its copy of W meets the avoidance set
@@ -276,7 +277,7 @@ def rohlin_avoiding(f: FactorAction, t: Tile, eps, avoid: PointSet,
     if not disjoint:
         raise CoverageShortfall("internal error: shifted base has overlapping levels")
     if measure(support_b) <= 1 - eps:
-        raise CoverageShortfall(
+        raise CoverageBelowFloor(
             f"tower coverage {measure(support_b)} not strictly above {1 - eps}"
         )
     if (base & avoid).size:

@@ -445,8 +445,9 @@ def test_pipeline_stages_match_loops(case, seed):
         assert np.array_equal(s_perm.forward, rewiring_forward_loop(alpha_i, cd))
     for ((alpha_p_i, cd), s_perm), (args, report) in zip(calls["build_rewiring"],
                                                          calls["discrepancy_budget"]):
-        alpha_i, s_budget, t_budget, beta_i, cd_budget, window, sets, _, _ = args
-        assert s_budget is s_perm and cd_budget is cd
+        alpha_i, t_budget, levels_budget, beta_i, cd_budget, window, sets, _, _ = args
+        assert cd_budget is cd
+        assert np.array_equal(levels_budget, s_perm.forward[cd.levels])
         # the rewired action S alpha'_i S^-1 the pipeline no longer builds
         app_i = alpha_p_i.conjugate(s_perm)
         # T = S o R carries alpha's own factor onto it

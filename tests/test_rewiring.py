@@ -32,10 +32,11 @@ from orbitrewire import (
     verify_orbit_equivalence,
     weak_discrepancy,
 )
-from orbitrewire import rewiring
+from orbitrewire import rewiring, rohlin
 from orbitrewire.errors import (
     BaseSizeMismatch,
     BudgetExceeded,
+    CoverageBelowFloor,
     CoverageShortfall,
     DefectBoundViolated,
     PushforwardMismatch,
@@ -116,23 +117,30 @@ def _lattice_factor(sp: FiniteSpace, k: int) -> FactorAction:
                                                   Permutation(sp, (x + k) % sp.n_points)))
 
 
-def test_tower_pair_small_model_moves_past_a_coverage_shortfall(monkeypatch):
-    # the orbit is unaligned, so candidates skip the coverage prefilter; the
-    # tiling of the first one that reaches the towers falls short, and the
-    # search must go on to the next side instead of ending
+def _lattice_pair():
+    """Two 1600-point Z^2 lattices (steps 31 and 61), their window and the
+    partition a parity set generates: a small model with unaligned orbits."""
     sp = FiniteSpace(1600)
     alpha_f, beta_f = _lattice_factor(sp, 31), _lattice_factor(sp, 61)
     window = [AbelianGroupSpec(2).generator(d) for d in range(2)]
     evens = PointSet(sp, np.arange(1600) % 2 == 0)
     phi = generated_partition(sp, [evens] + [beta_f.element_image_set(g, evens)
                                              for g in window])
+    return alpha_f, beta_f, phi, window
+
+
+def test_tower_pair_small_model_moves_past_a_coverage_shortfall(monkeypatch):
+    # the orbit is unaligned, so candidates skip the coverage prefilter; the
+    # tiling of the first one that reaches the towers falls short, and the
+    # search must go on to the next side instead of ending
+    alpha_f, beta_f, phi, window = _lattice_pair()
     shortfalls = []
     rohlin_avoiding = rewiring.rohlin_avoiding
 
     def recorded(*args, **kwargs):
         try:
             return rohlin_avoiding(*args, **kwargs)
-        except CoverageShortfall as exc:
+        except CoverageBelowFloor as exc:
             shortfalls.append(exc)
             raise
 
@@ -147,11 +155,28 @@ def test_tower_pair_aligned_coverage_shortfall_still_raises(monkeypatch):
     f = rotation(sp, 1)
 
     def short(*args, **kwargs):
-        raise CoverageShortfall("no tiling")
+        raise CoverageBelowFloor("no tiling")
 
     monkeypatch.setattr(rewiring, "rohlin_avoiding", short)
-    with pytest.raises(CoverageShortfall):
+    with pytest.raises(CoverageBelowFloor):
         tower_pair(f, f, Labeling.constant(sp, ()), [Z.element([1])], Fraction(1, 24))
+
+
+@pytest.mark.parametrize("fault", ["overlap", "sweep_refused"])
+def test_tower_pair_small_model_raises_other_rohlin_shortfalls(monkeypatch, fault):
+    # only a coverage floor rules out a side; overlapping levels and a
+    # refused greedy sweep end the search with their own cause
+    alpha_f, beta_f, phi, window = _lattice_pair()
+    if fault == "overlap":
+        monkeypatch.setattr(rohlin, "tower_support",
+                            lambda tower: (PointSet.empty(tower.base.space), False))
+        cause = "overlapping levels"
+    else:
+        monkeypatch.setattr(rohlin, "GREEDY_COST_CAP", 0)
+        cause = "greedy sweep"
+    with pytest.raises(CoverageShortfall, match=cause) as exc:
+        tower_pair(alpha_f, beta_f, phi, window, Fraction(1, 8))
+    assert not isinstance(exc.value, CoverageBelowFloor)
 
 
 def test_equalize_bases_trims_highest_indices():
@@ -392,7 +417,8 @@ def test_discrepancy_budget_self_rewiring_zero():
     cd = tile_matching(column_partitions(pair.tower_alpha, pair.tower_beta, phi), eps)
     s_perm = build_rewiring(f, cd)
     # R is the identity, so T = S o R is S
-    report = discrepancy_budget(f, s_perm, s_perm, f, cd, [Z.element([1])], [evens], eps, phi)
+    report = discrepancy_budget(f, s_perm, s_perm.forward[cd.levels], f, cd, [Z.element([1])],
+                                [evens], eps, phi)
     assert report.ok
     for eb in report.per_element:
         assert eb.residual_empty
@@ -407,7 +433,7 @@ def test_discrepancy_budget_identity_element_no_shift_loss():
     pair = tower_pair(f, f, phi, [Z.element([1])], eps)
     cd = tile_matching(column_partitions(pair.tower_alpha, pair.tower_beta, phi), eps)
     s_perm = build_rewiring(f, cd)
-    report = discrepancy_budget(f, s_perm, s_perm, f, cd, [Z.identity()],
+    report = discrepancy_budget(f, s_perm, s_perm.forward[cd.levels], f, cd, [Z.identity()],
                                 [PointSet.full(sp)], eps, phi)
     assert report.per_element[0].l1 == 0
 
