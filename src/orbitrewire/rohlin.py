@@ -251,7 +251,9 @@ def rohlin_avoiding(f: FactorAction, t: Tile, eps, avoid: PointSet,
     Requires mass(avoid) < eps/2.  Stage one builds a plain tiling base W at
     coverage > 1 - eps/2; stage two shifts W by the tile element whose level
     meets ``avoid`` least (first minimizer in canonical tile order) and
-    removes the leftover intersection.
+    removes the leftover intersection.  Each bound has one check: W's
+    levels in ``tiling_base``, the rest here; ``tower_pair`` avoids its bad
+    set, so the base check puts every base window within 3 eps'.
     """
     eps = exact_fraction(eps)
     if measure(avoid) >= eps / 2:
@@ -259,7 +261,7 @@ def rohlin_avoiding(f: FactorAction, t: Tile, eps, avoid: PointSet,
             f"avoidance set has mass {measure(avoid)} >= eps/2 = {eps / 2}"
         )
     floor = 1 - eps / 2
-    w = tiling_base(f, t, coverage_floor=floor)
+    w = tiling_base(f, t)
     # tiling_base certified the levels of W disjoint, so they cover |T||W|
     coverage = Fraction(t.size * w.base.size, f.space.n_points)
     if coverage <= floor:

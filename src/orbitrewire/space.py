@@ -30,6 +30,13 @@ def exact_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _int64_array(values, what: str) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":  # a cast would truncate floats, read bools
+        raise ValueError(f"{what} array must hold integers, not {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 class FiniteSpace:
     """N uniform atoms, each of mass 1/N."""
 
@@ -164,7 +171,7 @@ class Permutation:
     __slots__ = ("space", "forward", "_inverse")
 
     def __init__(self, space: FiniteSpace, forward: np.ndarray):
-        forward = np.asarray(forward, dtype=np.int64)
+        forward = _int64_array(forward, "forward")
         if forward.shape != (space.n_points,):
             raise ValueError("forward array length does not match space size")
         # range first: bincount would allocate up to the largest entry
@@ -259,7 +266,7 @@ class Labeling:
             raise ValueError("alphabet has repeated symbols")
         if not alphabet:
             raise ValueError("alphabet must be non-empty")
-        codes = np.asarray(codes, dtype=np.int64)
+        codes = _int64_array(codes, "codes")
         if codes.shape != (space.n_points,):
             raise ValueError("codes length does not match space size")
         if codes.size and (codes.min() < 0 or codes.max() >= len(alphabet)):

@@ -76,6 +76,41 @@ def test_match_labels_swap():
         assert r.image(psi.cell(a)) == phi.cell(a)
 
 
+def _match_labels_loop(psi, phi):
+    """The former conjugator: per symbol, psi's cell onto phi's in index order."""
+    forward = np.empty(psi.space.n_points, dtype=np.int64)
+    for a in psi.alphabet:
+        forward[np.nonzero(psi.codes == psi.code_of(a))[0]] = \
+            np.nonzero(phi.codes == phi.code_of(a))[0]
+    return forward
+
+
+def test_match_labels_alphabets_in_different_orders():
+    # the same symbols listed in another order match by symbol, not by code
+    sp = FiniteSpace(7)
+    psi = Labeling.from_symbols(sp, list("cabcbaa"), alphabet=("a", "b", "c"))
+    phi = Labeling.from_symbols(sp, list("aacbacb"), alphabet=("c", "b", "a"))
+    r = match_labels_conjugator(psi, phi)
+    assert r.forward.tolist() == _match_labels_loop(psi, phi).tolist() == [2, 0, 3, 5, 6, 1, 4]
+    for a in "abc":
+        assert r.image(psi.cell(a)) == phi.cell(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_match_labels_matches_the_per_symbol_loop(data):
+    n = data.draw(st.integers(1, 40))
+    k = data.draw(st.integers(1, 5))
+    codes = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    sp = FiniteSpace(n)
+    psi = Labeling(sp, range(k), data.draw(st.permutations(codes)))
+    order = data.draw(st.permutations(range(k)))
+    # phi lists the symbols in another order; its codes index that order
+    phi = Labeling(sp, order, [order.index(c) for c in codes])
+    assert match_labels_conjugator(psi, phi).forward.tolist() == \
+        _match_labels_loop(psi, phi).tolist()
+
+
 def test_match_labels_requires_equal_pushforwards():
     sp = FiniteSpace(4)
     psi = Labeling.from_symbols(sp, ["a", "a", "a", "b"], alphabet=("a", "b"))
@@ -177,6 +212,39 @@ def test_tower_pair_small_model_raises_other_rohlin_shortfalls(monkeypatch, faul
     with pytest.raises(CoverageShortfall, match=cause) as exc:
         tower_pair(alpha_f, beta_f, phi, window, Fraction(1, 8))
     assert not isinstance(exc.value, CoverageBelowFloor)
+
+
+def _rotation_pair_with_an_off_orbit():
+    """alpha steps by 10 on Z/4000 (ten aligned orbits), beta by 1.  Symbol
+    1 alternates along every alpha orbit but the residue-0 orbit, where it
+    is constant: that orbit is off the global mass 11/20 by 9/20 while its
+    windows are exact for its own mass, so only the orbit test (``fixed``)
+    keeps it out of the rewired base."""
+    sp = FiniteSpace(4000)
+    x = np.arange(4000)
+    codes = ((x // 10) % 2 == 0) | (x % 10 == 0)
+    phi = Labeling(sp, (0, 1), codes.astype(np.int64))
+    return rotation(sp, 10), rotation(sp, 1), phi, [Z.element([1])]
+
+
+@pytest.mark.parametrize("pair, eps", [(_lattice_pair, Fraction(1, 8)),
+                                       (_rotation_pair_with_an_off_orbit, Fraction(1, 16))])
+def test_tower_pair_bases_meet_the_window_bound(pair, eps):
+    # every base point's tile window is within 3 eps' of the global cell
+    # masses on both sides, counted point by point over the tile elements
+    alpha_f, beta_f, phi, window = pair()
+    res = tower_pair(alpha_f, beta_f, phi, window, eps)
+    n, tsz = phi.space.n_points, res.tile.size
+    cell = phi.cell_counts()
+    for f, tw in ((alpha_f, res.tower_alpha), (beta_f, res.tower_beta)):
+        base = tw.base.indices()
+        assert base.size == res.base_size
+        counts = np.zeros((base.size, len(cell)), dtype=np.int64)
+        for j in range(tsz):
+            image = f.element_perm(res.tile.element_at(j)).forward[base]
+            counts[np.arange(base.size), phi.codes[image]] += 1
+        assert np.all(np.abs(counts * n - cell * tsz) * eps.denominator
+                      <= 3 * eps.numerator * tsz * n)
 
 
 def test_equalize_bases_trims_highest_indices():

@@ -137,6 +137,35 @@ def test_permutation_checks_range_before_counting(entry):
         Permutation(FiniteSpace(3), np.array([0, 1, entry]))
 
 
+@pytest.mark.parametrize("forward", [
+    [1.5, 0.5],
+    np.array([1.0, 0.0]),
+    [True, False],
+    np.array([1, 0], dtype=object),
+])
+def test_permutation_refuses_non_integer_arrays(forward):
+    # an int64 cast would truncate [1.5, 0.5] and read [True, False] as the swap
+    with pytest.raises(ValueError, match="must hold integers"):
+        Permutation(FiniteSpace(2), forward)
+
+
+@pytest.mark.parametrize("forward", [[1, 0], np.array([1, 0], dtype=np.uint8),
+                                     np.array([1, 0], dtype=np.int32)])
+def test_permutation_takes_any_integer_dtype(forward):
+    assert Permutation(FiniteSpace(2), forward).forward.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("codes", [[0.7, 1.2], [False, True], np.array([0.0, 1.0])])
+def test_labeling_refuses_non_integer_codes(codes):
+    with pytest.raises(ValueError, match="must hold integers"):
+        Labeling(FiniteSpace(2), ("a", "b"), codes)
+
+
+def test_labeling_takes_unsigned_codes():
+    lab = Labeling(FiniteSpace(2), ("a", "b"), np.array([1, 0], dtype=np.uint16))
+    assert lab.codes.dtype == np.int64 and lab.codes_list() == [1, 0]
+
+
 def test_exact_fraction_decimal_semantics():
     assert exact_fraction(0.24) == Fraction(24, 100)
     assert exact_fraction("1/3") == Fraction(1, 3)
