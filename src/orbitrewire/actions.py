@@ -20,17 +20,20 @@ generator d itself, and e_d^j fixes x exactly when j is a multiple of the
 length of x's cycle, which the chart lists.  So charts serve the other
 powers, the tiles and the orbits.
 
-A chart is its cycle listing: ``CycleChart(order, cycle_len)`` derives the
-per-point arrays in O(N), and every chart is made by that constructor.  The
-shift templates (rotations, grid shifts) write their listings in closed form
-(``generate._shift``).  Other generators get theirs from ``CycleChart.of``,
-O(N log L) numpy passes with L the longest cycle: pointer doubling finds
-every point's cycle minimum and list ranking along the inverse gives its
-position.  Conjugation does not rebuild charts: r maps the cycles of g onto
-those of r g r^-1, so the conjugate's listing is the old one moved by r,
-each cycle rotated to its new minimum and the cycles re-sorted.  Every chart
-handed to a ``FactorAction`` rather than built by it, a template's or a
-carried one, is checked against its generator in O(N).
+A chart is its cycle listing, ``order`` and ``cycle_len``; the per-point
+arrays ``pos`` and ``cycle_of`` are scattered from it on first read, so a
+chart nothing walks costs no O(N) pass beyond its listing.  A factor built
+by code is its listings: the shift templates (rotations, grid shifts) write
+theirs in closed form (``generate._shift``), and conjugation carries them,
+since r maps the cycles of g onto those of r g r^-1, so the conjugate's
+listing is the old one moved by r, each cycle rotated to its new minimum and
+the cycles re-sorted.  Such a factor reads each generator off its listing
+by one scatter (``FactorAction._of_charts``), so every chart lists the
+cycles of its generator by construction and no run checks one against the
+other.  Generators given as arrays (``explicit``, ``product_cycle``,
+ergodized factors) get their listings from ``CycleChart.of``, O(N log L)
+numpy passes with L the longest cycle: pointer doubling finds every point's
+cycle minimum and list ranking along the inverse gives its position.
 
 Orbits of a factor are the joins of its generators' cycles; for a single
 generator they are the cycles themselves, otherwise minimum-label propagation
@@ -51,7 +54,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import IdentityInWindow, SpaceMismatch, SpecMismatch, VerificationFailed
+from .errors import IdentityInWindow, SpaceMismatch, SpecMismatch
 from .groups import AbelianElement, AbelianGroupSpec, FreeWord, Tile
 from .space import (
     Distribution,
@@ -68,19 +71,20 @@ class CycleChart:
     """Cycle structure of one permutation.
 
     ``order`` lists the points cycle by cycle; every cycle starts at its
-    minimal point and follows the permutation, and cycles appear by
+    minimal point and steps through the permutation, and cycles appear by
     increasing minimal point.  ``pos[x]`` is the position of x inside its
     cycle, ``cycle_of[x]`` indexes ``cycle_start``/``cycle_len``.
 
     A chart is its listing: the constructor takes ``order`` and
-    ``cycle_len`` and derives the rest by O(N) scatters, without checking
-    that the listing is the chart of anything; :meth:`follows` checks it
-    against a forward array.  :meth:`of` builds the listing of a forward
-    array by pointer doubling, and :meth:`conjugated` carries it to a
-    conjugate.
+    ``cycle_len``, without checking that the listing is the chart of
+    anything, and ``pos``/``cycle_of`` are scattered from it on first read
+    (a single cycle needs no scatter for ``cycle_of``).
+    :meth:`forward_array` reads the permutation off the listing, :meth:`of`
+    builds the listing of a forward array by pointer doubling, and
+    :meth:`conjugated` carries it to a conjugate.
     """
 
-    __slots__ = ("n", "order", "pos", "cycle_of", "cycle_start", "cycle_len")
+    __slots__ = ("n", "order", "cycle_start", "cycle_len", "_pos", "_cycle_of")
 
     def __init__(self, order: np.ndarray, cycle_len: np.ndarray):
         order = np.asarray(order, dtype=np.int64)
@@ -88,18 +92,46 @@ class CycleChart:
         n = order.shape[0]
         if n >= 2**31:
             raise ValueError("space too large for cycle charts")
-        cycle_start = np.cumsum(cycle_len) - cycle_len
-        seg = np.repeat(np.arange(len(cycle_len), dtype=np.int64), cycle_len)
-        cycle_of = np.empty(n, dtype=np.int64)
-        cycle_of[order] = seg
-        pos = np.empty(n, dtype=np.int64)
-        pos[order] = np.arange(n, dtype=np.int64) - cycle_start[seg]
         self.n = n
         self.order = order
-        self.pos = pos
-        self.cycle_of = cycle_of
-        self.cycle_start = cycle_start
+        self.cycle_start = np.cumsum(cycle_len) - cycle_len
         self.cycle_len = cycle_len
+        self._pos: np.ndarray | None = None
+        self._cycle_of: np.ndarray | None = None
+
+    @property
+    def pos(self) -> np.ndarray:
+        """Position of each point inside its cycle, scattered on first read."""
+        if self._pos is None:
+            pos = np.empty(self.n, dtype=np.int64)
+            pos[self.order] = (np.arange(self.n, dtype=np.int64)
+                               - np.repeat(self.cycle_start, self.cycle_len))
+            self._pos = pos
+        return self._pos
+
+    @property
+    def cycle_of(self) -> np.ndarray:
+        """Cycle number of each point, scattered on first read."""
+        if self._cycle_of is None:
+            if self.n_cycles == 1:
+                # untouched zero pages: no scatter, and gathers from it stay cheap
+                cycle_of = np.zeros(self.n, dtype=np.int64)
+            else:
+                cycle_of = np.empty(self.n, dtype=np.int64)
+                cycle_of[self.order] = np.repeat(np.arange(self.n_cycles, dtype=np.int64),
+                                                 self.cycle_len)
+            self._cycle_of = cycle_of
+        return self._cycle_of
+
+    def forward_array(self) -> np.ndarray:
+        """The forward array of the permutation this listing charts: each
+        listed point goes to the next one of its cycle, the last to the head."""
+        step = np.empty_like(self.order)
+        step[:-1] = self.order[1:]
+        step[self.cycle_start + self.cycle_len - 1] = self.order[self.cycle_start]
+        forward = np.empty_like(self.order)
+        forward[self.order] = step
+        return forward
 
     @classmethod
     def of(cls, forward: np.ndarray) -> "CycleChart":
@@ -139,7 +171,9 @@ class CycleChart:
         cycle_len = np.bincount(cycle_of, minlength=int(np.count_nonzero(head)))
         order = np.empty(n, dtype=np.int64)
         order[(np.cumsum(cycle_len) - cycle_len)[cycle_of] + pos] = points
-        return cls(order, cycle_len)
+        chart = cls(order, cycle_len)
+        chart._pos, chart._cycle_of = pos, cycle_of
+        return chart
 
     def conjugated(self, r: Permutation) -> "CycleChart":
         """The chart of r g r^-1, carried over from this chart of g.
@@ -166,11 +200,13 @@ class CycleChart:
         return CycleChart(moved[self.cycle_start[c] + offs], cycle_len)
 
     def follows(self, forward: np.ndarray) -> bool:
-        """Whether this chart is the chart of ``forward``, checked in O(N).
+        """Whether this chart is the chart of ``forward``, checked in O(N):
+        the tests' oracle for listings built by code.
 
-        Each cycle must start at its minimum and follow ``forward`` back to
-        its start, the cycles must appear by increasing minimum, and ``pos``
-        and ``cycle_of`` must index into that listing.
+        Each cycle must start at its minimum and step through ``forward``
+        back to its start, the cycles must appear by increasing minimum, and
+        ``pos`` and ``cycle_of``, scattered from the listing, must index
+        into it, which holds exactly when it lists every point once.
         """
         order, start, ln = self.order, self.cycle_start, self.cycle_len
         if order.shape != (self.n,) or int(ln.sum()) != self.n or np.any(ln < 1):
@@ -241,19 +277,18 @@ class CycleChart:
 class FactorAction:
     """An action of one abelian factor: one commuting permutation per generator.
 
-    Validated eagerly: generators must commute pairwise and torsion
-    generators must have order dividing their modulus.  Without ``charts``
-    each generator's chart is built by :meth:`CycleChart.of`; given charts
-    (a template's closed form, or charts carried through conjugation) must
-    each pass :meth:`CycleChart.follows`, or construction raises
-    ``VerificationFailed``.
+    The public constructor takes the generators, builds each chart by
+    :meth:`CycleChart.of`, and validates eagerly: generators must commute
+    pairwise and torsion generators must have order dividing their modulus.
+    A factor made by code from cycle listings, a shift template's or a
+    conjugate's, comes from :meth:`_of_charts` instead, which reads each
+    generator off its listing and checks nothing.
     """
 
     __slots__ = ("spec", "space", "gens", "charts", "_orbits", "_memo")
 
     def __init__(self, spec: AbelianGroupSpec, space: FiniteSpace,
-                 gens: Sequence[Permutation],
-                 charts: Sequence[CycleChart] | None = None):
+                 gens: Sequence[Permutation]):
         gens = tuple(gens)
         if len(gens) != spec.num_generators:
             raise ValueError(
@@ -268,25 +303,37 @@ class FactorAction:
                 qp = gens[j].forward[gens[i].forward]
                 if not np.array_equal(pq, qp):
                     raise ValueError(f"generators {i} and {j} do not commute")
-        if charts is None:
-            charts = tuple(CycleChart.of(p.forward) for p in gens)
-        else:
-            charts = tuple(charts)
-            for d, (p, chart) in enumerate(zip(gens, charts, strict=True)):
-                if not chart.follows(p.forward):
-                    raise VerificationFailed(f"chart of generator {d} does not follow it")
+        charts = tuple(CycleChart.of(p.forward) for p in gens)
         for k, c in enumerate(spec.torsion_moduli):
             chart = charts[spec.rank + k]
             if np.any(c % chart.cycle_len != 0):
                 raise ValueError(
                     f"torsion generator {k} has a cycle not dividing modulus {c}"
                 )
+        self._set(spec, space, gens, charts)
+
+    def _set(self, spec: AbelianGroupSpec, space: FiniteSpace,
+             gens: tuple[Permutation, ...], charts: tuple[CycleChart, ...]) -> None:
         self.spec = spec
         self.space = space
         self.gens = gens
         self.charts = charts
         self._orbits: OrbitDecomposition | None = None
         self._memo: dict = {}
+
+    @classmethod
+    def _of_charts(cls, spec: AbelianGroupSpec, space: FiniteSpace,
+                   charts: Sequence[CycleChart]) -> "FactorAction":
+        """The factor whose generators these listings chart, each read off
+        its listing by one scatter, so every chart lists its generator's
+        cycles by construction.  Nothing is checked: the callers' generators
+        commute and keep their torsion by construction (shifts of distinct
+        coordinates, or the conjugate of a checked factor)."""
+        charts = tuple(charts)
+        out = cls.__new__(cls)
+        out._set(spec, space,
+                 tuple(Permutation._trusted(space, c.forward_array()) for c in charts), charts)
+        return out
 
     def element_image_points(self, g: AbelianElement, points: np.ndarray) -> np.ndarray:
         """g applied to an array of points: a power of 1 is one gather
@@ -353,13 +400,11 @@ class FactorAction:
         return self._orbits
 
     def conjugate(self, r: Permutation) -> "FactorAction":
-        """The action with every generator conjugated by r.
-
-        The charts are carried through the conjugation instead of rebuilt,
-        and each carried chart is checked against its conjugated generator.
-        """
-        return FactorAction(self.spec, self.space, tuple(p.conjugate(r) for p in self.gens),
-                            tuple(c.conjugated(r) for c in self.charts))
+        """The action with every generator conjugated by r: each chart is
+        carried through the conjugation, and the generators are read off
+        the carried listings."""
+        return FactorAction._of_charts(self.spec, self.space,
+                                       [c.conjugated(r) for c in self.charts])
 
     def __repr__(self) -> str:
         return f"FactorAction(spec={self.spec}, N={self.space.n_points})"
@@ -419,8 +464,7 @@ def _orbits_of_minima(label: np.ndarray) -> OrbitDecomposition:
 def _decompose(space: FiniteSpace, charts: Sequence[CycleChart]) -> OrbitDecomposition:
     if len(charts) == 1:
         chart = charts[0]
-        return OrbitDecomposition(chart.cycle_of.copy(), chart.cycle_len.copy(),
-                                  order=chart.order)
+        return OrbitDecomposition(chart.cycle_of, chart.cycle_len, order=chart.order)
     # vectorized label propagation: spread the minimum label along every
     # generator's cycles until nothing changes; the fixpoint labels each
     # orbit by its minimal point.  A visit leaves the labels constant on the

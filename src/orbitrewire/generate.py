@@ -3,10 +3,12 @@
 Templates are deterministic given their parameters; the only randomness in a
 run lives in the good-partition stage, so failures bisect cleanly.
 
-Rotations and grid shifts are coordinate shifts, whose cycle charts have a
-closed form (``_shift``); those charts are handed to ``FactorAction``, which
-checks each against its generator.  ``product_cycle`` and ``explicit``
-factors get their charts from the pointer-doubling build.
+Rotations and grid shifts are coordinate shifts, whose cycle listings have
+a closed form (``_shift``); the factor is built from the listings, reading
+each generator off its own, so nothing is written twice and nothing is left
+to check.  ``product_cycle`` and ``explicit`` factors are given as arrays
+and get their charts from the pointer-doubling build.  A product template's
+dims are checked to be at least 1 before any array is built.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .groups import AbelianElement, AbelianGroupSpec
 from .space import FiniteSpace, Permutation, PointSet
 
 
-def _shift(n: int, stride: int, m: int, step: int) -> tuple[np.ndarray, CycleChart]:
-    """Shift of the coordinate (x // stride) % m by ``step``: its forward array
-    and its chart, both in closed form.
+def _shift(n: int, stride: int, m: int, step: int) -> CycleChart:
+    """The cycle listing of the shift of the coordinate (x // stride) % m by
+    ``step``, in closed form.
 
     With g = gcd(step, m) every cycle has length m / g and holds the points
     whose coordinate is congruent mod g; it starts at the one whose
@@ -33,28 +35,26 @@ def _shift(n: int, stride: int, m: int, step: int) -> tuple[np.ndarray, CycleCha
     starting at x is x + ((c + k step) % m - c) stride.
     """
     step %= m
-    points = np.arange(n, dtype=np.int64).reshape(-1, m, stride)
-    c = np.arange(m, dtype=np.int64)
-    forward = points + (((c + step) % m - c) * stride)[None, :, None]
     g = math.gcd(step, m)
-    c = c[:g, None]
+    c = np.arange(g, dtype=np.int64)[:, None]
     offsets = ((c + np.arange(m // g, dtype=np.int64) * step) % m - c) * stride
+    points = np.arange(n, dtype=np.int64).reshape(-1, m, stride)
     order = points[:, :g, :, None] + offsets[None, :, None, :]
-    chart = CycleChart(order.ravel(), np.full(n // (m // g), m // g, dtype=np.int64))
-    return forward.ravel(), chart
+    return CycleChart(order.ravel(), np.full(n // (m // g), m // g, dtype=np.int64))
 
 
 def _shift_factor(space: FiniteSpace, shifts: list[tuple[int, int, int]]) -> FactorAction:
-    """The free abelian factor with one generator per (stride, m, step) shift."""
-    made = [_shift(space.n_points, stride, m, step) for stride, m, step in shifts]
-    return FactorAction(AbelianGroupSpec(len(made)), space,
-                        tuple(Permutation(space, forward) for forward, _ in made),
-                        charts=tuple(chart for _, chart in made))
+    """The free abelian factor with one generator per (stride, m, step)
+    shift; shifts of distinct coordinates commute."""
+    return FactorAction._of_charts(AbelianGroupSpec(len(shifts)), space,
+                                   [_shift(space.n_points, *s) for s in shifts])
 
 
 def _dims_steps(n: int, dims: list[int], steps: list[int] | None,
                 what: str) -> list[int]:
     """The steps of a product template, checked against its dims."""
+    if any(m < 1 for m in dims):
+        raise ConfigError(f"{what} template field 'dims' needs sizes >= 1, got {dims}")
     if math.prod(dims) != n:
         raise ConfigError(f"{what} dims {dims} do not multiply to space size {n}")
     if steps is None:

@@ -1064,7 +1064,7 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
     ``window`` gives, per factor, the group elements on which closeness is
     required (callers with general words reduce them first, see
     ``reduce_words_to_letters``).  The returned witness carries the
-    conjugator and the per-factor rewirings that gamma follows from; the
+    conjugator and the per-factor rewirings that gamma is built from; the
     report carries every certified mass and the verified orbit check.
     """
     eps = exact_fraction(eps)

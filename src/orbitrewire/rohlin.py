@@ -134,7 +134,7 @@ def _greedy_base_points(f: FactorAction, t: Tile, sweep: np.ndarray) -> list[int
     return picked
 
 
-def tiling_base(f: FactorAction, t: Tile, coverage_floor=None) -> Tower:
+def tiling_base(f: FactorAction, t: Tile) -> Tower:
     """The tower of ``t`` over a base W with {tW} pairwise disjoint,
     maximizing coverage.
 
@@ -142,9 +142,8 @@ def tiling_base(f: FactorAction, t: Tile, coverage_floor=None) -> Tower:
     sweep over the other orbits (guarded by a cost cap), which needs no
     knowledge of the packed ones because a tile never leaves its orbit.
     Raises TILE_TOO_LARGE when the tile cannot fit in the smallest orbit and
-    COVERAGE_SHORTFALL when the sweep is refused, when levels overlap, or
-    (as ``CoverageBelowFloor``) when the achieved coverage falls below the
-    caller's floor.
+    COVERAGE_SHORTFALL when the sweep is refused or levels overlap; the
+    caller compares the coverage with its floor.
     """
     if t.spec != f.spec:
         raise ValueError("tile spec does not match the action")
@@ -170,15 +169,9 @@ def tiling_base(f: FactorAction, t: Tile, coverage_floor=None) -> Tower:
         base_points.append(np.array(_greedy_base_points(f, t, sweep), dtype=np.int64))
     # every orbit is packed or swept, so base_points is never empty
     tower = Tower.over(f, t, PointSet.from_indices(f.space, np.concatenate(base_points)))
-    support, disjoint = tower_support(tower)
+    _, disjoint = tower_support(tower)
     if not disjoint:
         raise CoverageShortfall("internal error: constructed base has overlapping levels")
-    coverage = measure(support)
-    if coverage_floor is not None and coverage < exact_fraction(coverage_floor):
-        raise CoverageBelowFloor(
-            f"achieved coverage {coverage} below floor {coverage_floor}",
-            coverage=coverage,
-        )
     return tower
 
 

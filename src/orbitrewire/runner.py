@@ -9,7 +9,7 @@ same config and seed produce byte-identical files.
 The JSON report embeds the witness: the conjugator R and the per-factor
 rewirings S_i.  Each is one base64 string (RFC 4648 standard alphabet,
 padded) of N little-endian unsigned entries of w bytes, where
-w = max(1, ceil(bit_length(N - 1) / 8)) follows from the config's
+w = max(1, ceil(bit_length(N - 1) / 8)) is fixed by the config's
 ``space_size`` and is not stored.  A witness that is not such a string,
 decodes to another length, or holds no bijection of the N points is a
 ConfigError.  Verification rebuilds alpha, beta and the target sets from

@@ -1,14 +1,19 @@
-"""Differential tests: the vectorised cycle-chart build, and the chart carried
-through conjugation, against the per-point loop they replaced.
+"""Differential tests: the vectorised cycle-chart build, the per-point arrays
+derived from a listing, and the chart carried through conjugation, against
+the per-point loop they replaced.
 
 ``chart_loop`` is the per-point loop that ``CycleChart.of`` replaced, kept
 as a test-only oracle.  The permutations are generated: random permutations, rotations,
 products of disjoint cycles on shuffled points, permutations with many fixed
-points, and the one-point space.  A carried chart must equal a fresh chart of
-the conjugate, and ``CycleChart.follows`` must reject a carried chart that is
-corrupted in any of its five arrays.  The closed-form charts of the shift
-templates (rotations and grid shifts) must equal ``CycleChart.of`` of their
-generators, and a corrupted template chart must be rejected.
+points, and the one-point space.  A chart is its listing (``order`` and
+``cycle_len``): ``pos`` and ``cycle_of`` are derived from it on first read,
+and a factor built from listings reads its generators off them.  A carried
+chart must equal a fresh chart of the conjugate, and the closed-form charts
+of the shift templates (rotations and grid shifts) must equal
+``CycleChart.of`` of their generators.  A corrupted listing, carried or
+written by a template, must fail these differential checks, and
+``CycleChart.follows``, the oracle that checks a listing against a forward
+array, must reject it.  No run or verify calls ``follows``.
 """
 
 import numpy as np
@@ -16,11 +21,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import Z
+from test_golden import CONFIGS, GOLDEN
 
 from orbitrewire import AbelianGroupSpec, FactorAction, FiniteSpace, Permutation, generate
 from orbitrewire.actions import CycleChart
-from orbitrewire.errors import VerificationFailed
+from orbitrewire.config import RunConfig
 from orbitrewire.generate import generate_factor
+from orbitrewire.runner import execute, verify_report_file, write_report_files
 
 SETTINGS = settings(max_examples=150, deadline=None)
 FIELDS = ("order", "pos", "cycle_of", "cycle_start", "cycle_len")
@@ -141,6 +148,34 @@ def test_chart_of_one_point():
     assert_same_chart(CycleChart.of(np.zeros(1, dtype=np.int64)), chart_loop(np.zeros(1)))
 
 
+def check_listing(forward: np.ndarray) -> None:
+    """A chart made from the loop's listing alone derives the loop's ``pos``
+    and ``cycle_of`` and reads ``forward`` off the listing; so does
+    ``CycleChart.of``, whose per-point arrays come from pointer doubling."""
+    ref = chart_loop(forward)
+    listed = CycleChart(ref["order"], ref["cycle_len"])
+    assert_same_chart(listed, ref)
+    np.testing.assert_array_equal(listed.forward_array(), forward)
+    doubled = CycleChart.of(forward)
+    assert_same_chart(listed, {name: getattr(doubled, name) for name in FIELDS})
+    np.testing.assert_array_equal(doubled.forward_array(), forward)
+
+
+@SETTINGS
+@given(forwards())
+def test_listing_derives_the_per_point_arrays_and_the_forward_array(forward):
+    check_listing(forward)
+
+
+@pytest.mark.parametrize("forward", [
+    np.zeros(1, dtype=np.int64),
+    np.arange(4999, dtype=np.int64),
+    (np.arange(4999, dtype=np.int64) + 1234) % 4999,
+], ids=["one-point", "fixed-points", "one-long-cycle"])
+def test_listing_cases(forward):
+    check_listing(forward)
+
+
 # ---------------------------------------------------------------------------
 # the carry through conjugation
 # ---------------------------------------------------------------------------
@@ -170,30 +205,37 @@ def test_factor_conjugate_carries_the_charts(data):
     for d, p in enumerate(g.gens):
         assert p == f.gens[d].conjugate(r)
         assert_same_chart(g.charts[d], chart_loop(p.forward))
+    assert carry_matches(f, r, g)
+
+
+def carry_matches(f: FactorAction, r: Permutation, g: FactorAction) -> bool:
+    """The differential check of ``g = f.conjugate(r)``: its generators are
+    the conjugated ones and its charts are the loop's charts of them."""
+    for p, q, chart in zip(f.gens, g.gens, g.charts, strict=True):
+        want = p.conjugate(r)
+        ref = chart_loop(want.forward)
+        if q != want or any(not np.array_equal(getattr(chart, name), ref[name])
+                            for name in FIELDS):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
-# the consistency check of a carried chart
+# corrupted listings
 # ---------------------------------------------------------------------------
 
-CORRUPTIONS = ("pos", "cycle_of", "order", "rotated", "unsorted", "reversed")
+# a chart is its listing, so these corrupt ``order`` or ``cycle_len``; the
+# per-point arrays ``pos`` and ``cycle_of`` are derived from the listing and
+# cannot be wrong apart from it
+CORRUPTIONS = ("order", "rotated", "unsorted", "reversed", "cycle_len")
 
 
 def corrupt(chart: CycleChart, how: str) -> CycleChart:
     """A copy of the chart that is wrong in one way; None if ``how`` cannot apply."""
     segs = segments(chart)
     longest = max(range(len(segs)), key=lambda c: len(segs[c]))
-    if how == "pos":
-        # off by one at one point
-        bad = chart_of_segments(segs)
-        bad.pos[chart.order[0]] += 1
-        return bad
-    if how == "cycle_of" and len(segs) > 1:
-        bad = chart_of_segments(segs)
-        bad.cycle_of[chart.order[0]] = 1
-        return bad
     if how == "order" and chart.n > 1:
-        # two listed points swapped, with pos and cycle_of following the swap
+        # two listed points swapped
         flat = chart.order.tolist()
         flat[0], flat[-1] = flat[-1], flat[0]
         return chart_of_segments([flat[s:s + l] for s, l in
@@ -209,6 +251,10 @@ def corrupt(chart: CycleChart, how: str) -> CycleChart:
     if how == "reversed" and len(segs[longest]) > 2:
         # a cycle of the inverse: canonical in form, but not following g
         segs[longest] = segs[longest][:1] + segs[longest][:0:-1]
+        return chart_of_segments(segs)
+    if how == "cycle_len" and len(segs[longest]) > 1:
+        # the same points in the same order, the longest cycle split in two
+        segs[longest:longest + 1] = [segs[longest][:1], segs[longest][1:]]
         return chart_of_segments(segs)
     return None
 
@@ -232,10 +278,16 @@ def test_factor_conjugate_rejects_a_corrupted_carry(monkeypatch, how):
     sp = FiniteSpace(12)
     f = FactorAction(Z, sp, (Permutation(sp, np.array([1, 2, 0, 4, 5, 6, 3, 7, 9, 10, 11, 8])),))
     r = Permutation(sp, np.random.default_rng(3).permutation(12))
+    assert carry_matches(f, r, f.conjugate(r))
     carry = CycleChart.conjugated
-    monkeypatch.setattr(CycleChart, "conjugated", lambda c, r: corrupt(carry(c, r), how))
-    with pytest.raises(VerificationFailed):
-        f.conjugate(r)
+
+    def corrupted(c, r):
+        bad = corrupt(carry(c, r), how)
+        assert bad is not None
+        return bad
+
+    monkeypatch.setattr(CycleChart, "conjugated", corrupted)
+    assert not carry_matches(f, r, f.conjugate(r))
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +352,35 @@ def test_closed_form_chart_cases(template):
 
 # every chart here has several cycles of length 3 or 4, so each corruption applies
 @pytest.mark.parametrize("template", [
-    {"name": "rotation", "step": 4},
+    {"name": "rotation", "n": 12, "step": 4},
     {"name": "grid_shift", "dims": [3, 4], "steps": [1, 1]},
 ], ids=["rotation", "grid_shift"])
 @pytest.mark.parametrize("how", CORRUPTIONS)
 def test_corrupted_template_chart_is_rejected(monkeypatch, template, how):
+    check_template(template)
     shift = generate._shift
 
     def corrupted(n, stride, m, step):
-        forward, chart = shift(n, stride, m, step)
-        bad = corrupt(chart, how)
+        bad = corrupt(shift(n, stride, m, step), how)
         assert bad is not None
-        return forward, bad
+        return bad
 
     monkeypatch.setattr(generate, "_shift", corrupted)
-    with pytest.raises(VerificationFailed):
-        generate_factor(FiniteSpace(12), template)
+    # an array comparison fails, not the guard that the corruption applies
+    with pytest.raises(AssertionError, match="Arrays are not equal"):
+        check_template(template)
+
+
+# ---------------------------------------------------------------------------
+# no run or verify checks a chart against its generator
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN))
+def test_run_and_verify_never_call_follows(monkeypatch, tmp_path, name, seed):
+    def refuse(chart, forward):
+        raise AssertionError("CycleChart.follows called on the run or verify path")
+
+    monkeypatch.setattr(CycleChart, "follows", refuse)
+    _, report = execute(RunConfig.from_dict({**CONFIGS[name], "seed": seed}))
+    json_path, _ = write_report_files(report, tmp_path)
+    assert verify_report_file(json_path)

@@ -86,6 +86,13 @@ def test_product_templates_need_one_step_per_dimension(name, steps):
         generate_system(FiniteSpace(36), [{"name": name, "dims": [6, 6], "steps": steps}])
 
 
+@pytest.mark.parametrize("name", ["grid_shift", "product_cycle"])
+@pytest.mark.parametrize("dims", [[-6, -6], [-1, 6, -6]], ids=["two", "three"])
+def test_product_templates_refuse_nonpositive_dims_by_name(name, dims):
+    with pytest.raises(ConfigError, match="'dims' needs sizes >= 1"):
+        generate_system(FiniteSpace(36), [{"name": name, "dims": dims}])
+
+
 @pytest.mark.parametrize("template", [
     {"name": "rotation", "step": 2**70},
     {"name": "grid_shift", "dims": [6, 6], "steps": [2**70, -2**70]},
@@ -106,6 +113,9 @@ def test_steps_beyond_int64_reduce_modulo_the_cycle(template):
     {"name": "grid_shift", "dims": [6, 6], "steps": [1, False]},
     {"name": "product_cycle", "dims": [True, 36]},
     {"name": "product_cycle", "dims": [6, 6], "steps": [0.5, 1]},
+    # multiply to the space size, so only the dims check refuses them
+    {"name": "grid_shift", "dims": [-6, -6]},
+    {"name": "product_cycle", "dims": [-6, -6]},
     {"name": "explicit", "rank": 1.5, "arrays": [list(range(1, 36)) + [0]]},
     {"name": "explicit", "rank": 0, "torsion": [36.5], "arrays": [list(range(1, 36)) + [0]]},
     {"name": "explicit", "rank": 1, "arrays": [[1.9, 2.2, 3.0, 0.5] + list(range(4, 36))]},
@@ -115,8 +125,8 @@ def test_steps_beyond_int64_reduce_modulo_the_cycle(template):
     {"name": "explicit", "rank": 1, "arrays": [[True, False]]},
     {"name": "explicit", "rank": 1, "arrays": [[True, 0]]},
 ], ids=["step-float", "step-bool", "dims-float", "steps-bool", "product-dims-bool",
-        "product-steps-float", "rank-float", "torsion-float", "arrays-float",
-        "arrays-integral-float", "arrays-bool", "arrays-bool-and-int"])
+        "product-steps-float", "dims-negative", "product-dims-negative", "rank-float",
+        "torsion-float", "arrays-float", "arrays-integral-float", "arrays-bool", "arrays-bool-and-int"])
 def test_template_integers_are_never_truncated(tmp_path, template):
     n = len(template["arrays"][0]) if "arrays" in template else 36
     with pytest.raises(ConfigError):

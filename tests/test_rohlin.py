@@ -20,7 +20,11 @@ from orbitrewire import (
     tiling_base,
     verify_tower,
 )
-from orbitrewire.errors import CoverageShortfall, HypothesisViolated, TileTooLarge
+from orbitrewire.errors import (
+    CoverageBelowFloor,
+    HypothesisViolated,
+    TileTooLarge,
+)
 from orbitrewire.rohlin import tower_support
 
 
@@ -49,8 +53,9 @@ def test_tiling_base_non_divisor_leaves_remainder():
     support, disjoint = tower_support(Tower.over(f, t, w))
     assert disjoint
     assert measure(support) == Fraction(12, 13)
-    with pytest.raises(CoverageShortfall):
-        tiling_base(f, t, coverage_floor=Fraction(99, 100))
+    # the Rohlin stage's floor at eps = 1/10 is 1 - 1/20, above 12/13
+    with pytest.raises(CoverageBelowFloor):
+        rohlin_avoiding(f, t, Fraction(1, 10), PointSet.empty(sp))
 
 
 def test_tiling_base_tile_too_large():
