@@ -26,22 +26,13 @@ from .groups import (
     FreeWord,
     Tile,
     box_tile,
-    folner_tile,
     invariance_defect,
-    word_invert,
-    word_multiply,
 )
 from .actions import (
     FactorAction,
     FreeProductSystem,
     OrbitDecomposition,
-    act,
-    act_word,
-    average,
     freeness_defect,
-    orbit_average_function,
-    orbit_decomposition,
-    orbit_pushforward,
     weak_discrepancy,
 )
 from .rohlin import Tower, rohlin_avoiding, tiling_base, verify_tower

@@ -3,7 +3,7 @@
 The workhorse here is the cycle chart of each generator permutation: points
 listed cycle by cycle with per-point positions.  Charts turn powers g^j other
 than 1 into O(1) index arithmetic and box-window sums into circular
-prefix-sum differences, which keeps every tower/name/average computation
+prefix-sum differences, which keeps every tower/name/window computation
 linear in the space size instead of linear in |tile| * N.  ``window_sum``
 gives such sums in point order.  The tile search reads a factor's orbits in
 product coordinates instead (``rewiring._GoodSetEvaluator``), because its
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -57,9 +57,7 @@ import numpy as np
 from .errors import IdentityInWindow, SpaceMismatch, SpecMismatch
 from .groups import AbelianElement, AbelianGroupSpec, FreeWord, Tile
 from .space import (
-    Distribution,
     FiniteSpace,
-    Labeling,
     Permutation,
     PointSet,
     same_space,
@@ -423,7 +421,6 @@ class OrbitDecomposition:
 
     orbit_id: np.ndarray
     sizes: np.ndarray
-    factor_index: int | None = None
     order: np.ndarray | None = field(default=None, repr=False)
     _orbits: list[np.ndarray] | None = field(default=None, init=False, repr=False)
 
@@ -443,9 +440,6 @@ class OrbitDecomposition:
     @property
     def is_transitive(self) -> bool:
         return self.n_orbits == 1
-
-    def orbit_of(self, x: int) -> np.ndarray:
-        return self.orbits[int(self.orbit_id[x])]
 
     def min_orbit_size(self) -> int:
         return int(self.sizes.min())
@@ -483,24 +477,10 @@ def _decompose(space: FiniteSpace, charts: Sequence[CycleChart]) -> OrbitDecompo
     return _orbits_of_minima(label)
 
 
-def orbit_decomposition(f: FactorAction, factor_index: int | None = None) -> OrbitDecomposition:
-    """Orbits of the factor action (union of its generators' cycle graphs)."""
-    od = f.orbits()
-    if factor_index is None:
-        return od
-    return replace(od, factor_index=factor_index)
-
-
 def _single_coordinate(coords: tuple[int, ...]) -> int | None:
     """The index d when coords is a power of generator d alone, else None."""
     nonzero = [d for d, c in enumerate(coords) if c]
     return nonzero[0] if len(nonzero) == 1 else None
-
-
-def act(f: FactorAction, g: AbelianElement, x: int) -> int:
-    """g . x, applying generator powers (order irrelevant by commutativity)."""
-    f.space.check_point(x)
-    return int(f.element_image_points(g, np.array([x], dtype=np.int64))[0])
 
 
 class FreeProductSystem:
@@ -572,61 +552,6 @@ def compose_letters(space: FiniteSpace, letters: Iterable[Permutation]) -> Permu
     for p in letters:
         out = p if out is None else p.compose(out)
     return Permutation.identity(space) if out is None else out
-
-
-def act_word(s: FreeProductSystem, w: FreeWord, x: int) -> int:
-    s.space.check_point(x)
-    return int(s.word_image_points(w, np.array([x], dtype=np.int64))[0])
-
-
-def orbit_pushforward(d: OrbitDecomposition, l: Labeling, x: int) -> Distribution:
-    """Empirical label distribution over the orbit of x."""
-    orbit = d.orbit_of(x)
-    counts = np.bincount(l.codes[orbit], minlength=len(l.alphabet))
-    return Distribution.from_counts(l.alphabet, counts, len(orbit))
-
-
-def average(f: FactorAction, window, indicator: PointSet, x: int) -> Fraction:
-    """Fraction of window elements g with g . x in the indicator set.
-
-    ``window`` is a Tile or an iterable of AbelianElement.
-    """
-    same_space(f, indicator)
-    f.space.check_point(x)
-    if isinstance(window, Tile):
-        hits = indicator.mask[f.tile_images(window, x)]
-        return Fraction(int(np.count_nonzero(hits)), window.size)
-    elems = list(window)
-    if not elems:
-        raise ValueError("average over an empty element family")
-    pts = np.array([x], dtype=np.int64)
-    hits = sum(int(indicator.mask[f.element_image_points(g, pts)[0]]) for g in elems)
-    return Fraction(hits, len(elems))
-
-
-def orbit_average_function(f: FactorAction, indicator: PointSet):
-    """Per-point fraction of the point's orbit lying in the indicator.
-
-    This is the conditional mean of the indicator on the factor-invariant
-    sets; it is constant on orbits.  Returned object indexes like an array of
-    exact fractions without materializing N Fraction objects.
-    """
-    same_space(f, indicator)
-    od = f.orbits()
-    counts = np.bincount(od.orbit_id[indicator.mask], minlength=od.n_orbits)
-    return OrbitAverages(od, counts.astype(np.int64))
-
-
-class OrbitAverages:
-    __slots__ = ("decomposition", "counts")
-
-    def __init__(self, decomposition: OrbitDecomposition, counts: np.ndarray):
-        self.decomposition = decomposition
-        self.counts = counts
-
-    def __getitem__(self, x: int) -> Fraction:
-        oid = int(self.decomposition.orbit_id[x])
-        return Fraction(int(self.counts[oid]), int(self.decomposition.sizes[oid]))
 
 
 def weak_discrepancy(a: FreeProductSystem, b: FreeProductSystem,

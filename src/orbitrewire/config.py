@@ -86,8 +86,8 @@ class RunConfig:
         if not 0 < eps < 1:
             raise ConfigError(f"epsilon must lie strictly between 0 and 1, got {eps}")
         seed = d["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("seed must be an integer")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         alpha, beta = d["alpha"], d["beta"]
         if not isinstance(alpha, list) or not alpha:
             raise ConfigError("alpha must be a non-empty list of factor templates")

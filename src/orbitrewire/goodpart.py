@@ -29,7 +29,6 @@ from .space import Distribution, Labeling, exact_fraction
 class FactorBadness:
     """Verification outcome for one factor."""
 
-    factor_index: int
     bad_mass: Fraction
     # aggregated mass per distinct per-orbit sup deviation, sorted by deviation
     histogram: list[tuple[Fraction, Fraction]]
@@ -83,7 +82,7 @@ def verify_good_partition(s: FreeProductSystem, psi: Labeling, pi: Distribution,
     k_sym = len(masses)
     enum, eden = eps.numerator, eps.denominator
     per_factor = []
-    for fi, f in enumerate(s.factors):
+    for f in s.factors:
         od = f.orbits()
         counts = np.bincount(
             od.orbit_id * k_sym + psi.codes, minlength=od.n_orbits * k_sym
@@ -99,7 +98,7 @@ def verify_good_partition(s: FreeProductSystem, psi: Labeling, pi: Distribution,
         for (dv, size), count in zip(pairs.tolist(), orbits.tolist()):
             key = Fraction(dv, size * d)
             hist[key] = hist.get(key, Fraction(0)) + Fraction(count * size, n)
-        per_factor.append(FactorBadness(fi, bad_mass, sorted(hist.items())))
+        per_factor.append(FactorBadness(bad_mass, sorted(hist.items())))
     return GoodPartitionReport(per_factor, eps)
 
 

@@ -220,13 +220,6 @@ def box_tile(spec: AbelianGroupSpec, lows: Sequence[int], highs: Sequence[int],
     return Tile(spec, lows, highs, cap=cap)
 
 
-def folner_tile(spec: AbelianGroupSpec, n: int, cap: int = DEFAULT_TILE_CAP) -> Tile:
-    """The symmetric box [-n, n]^rank times the full torsion part."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return Tile(spec, (-n,) * spec.rank, (n,) * spec.rank, cap=cap)
-
-
 def invariance_defect(t: Tile, g: AbelianElement) -> Fraction:
     """|T symdiff gT| / |T|, exactly.
 
@@ -302,10 +295,3 @@ class FreeWord:
             return "FreeWord(e)"
         return "FreeWord(" + " * ".join(f"G{i}:{g.coords}" for i, g in self.letters) + ")"
 
-
-def word_multiply(w1: FreeWord, w2: FreeWord) -> FreeWord:
-    return w1 * w2
-
-
-def word_invert(w: FreeWord) -> FreeWord:
-    return w.inverse()

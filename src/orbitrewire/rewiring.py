@@ -35,12 +35,15 @@ counts boxes per shape, and the good-set evaluator turns each shape into one
 product of its generator cycles is evaluated in point order instead.
 
 A tower is its level array (``rohlin.Tower.levels``), built once when the
-tower is erected; ``rohlin.tiling_base`` returns the tower it certified, and
-``rohlin_avoiding`` reads W's levels from it.  The columns (``ColumnData``)
-are arrays over it: both bases listed column by column, the alpha levels in
-that listing, and one row of |T| entries per column for the names, the
-matching and the matched set.  The rewiring reads those levels, and the
-budget takes S_i of them as gamma_i's: no rewired action is built.
+tower is erected; its base is the identity's level, the base points in
+increasing order, and no point mask of the base is kept.
+``rohlin.tiling_base`` returns the tower it certified, and
+``rohlin_avoiding`` reads W's levels from it, the shifted copy of W among
+them.  The columns (``ColumnData``) are arrays over it: both bases listed
+column by column, the alpha levels in that listing, and one row of |T|
+entries per column for the names, the matching and the matched set.  The
+rewiring reads those levels, and the budget takes S_i of them as gamma_i's:
+no rewired action is built.
 """
 
 from __future__ import annotations
@@ -344,8 +347,7 @@ def equalize_bases(tw_a: Tower, tw_b: Tower) -> tuple[Tower, Tower]:
 
 def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
                window: Sequence[AbelianElement], eps_prime, *,
-               tile_cap: int = DEFAULT_TILE_CAP,
-               factor_index: int | None = None) -> TowerPairResult:
+               tile_cap: int = DEFAULT_TILE_CAP) -> TowerPairResult:
     """Matching Rohlin towers for both actions over one good box tile.
 
     Searches box sides s = 2, 3, ... (tiles [0, s-1]^rank x full torsion) for
@@ -439,8 +441,8 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
         gb, mass_b = res_b
         avoid = PointSet(alpha_i.space, ~(ga & gb))
         try:
-            tw_a = rohlin_avoiding(alpha_i, tile, 8 * eps, avoid, factor_index=factor_index)
-            tw_b = rohlin_avoiding(beta_i, tile, 8 * eps, avoid, factor_index=factor_index)
+            tw_a = rohlin_avoiding(alpha_i, tile, 8 * eps, avoid)
+            tw_b = rohlin_avoiding(beta_i, tile, 8 * eps, avoid)
         except CoverageBelowFloor:
             # a small model's candidate may have skipped the coverage
             # prefilter, so its shortfall rules out only this side; a refused
@@ -486,7 +488,6 @@ class ColumnData:
     out like ``levels``.
     """
 
-    factor_index: int | None
     tile: Tile
     alphabet_size: int
     q_alpha: np.ndarray
@@ -536,11 +537,10 @@ def column_partitions(tw_alpha: Tower, tw_beta: Tower, phi: Labeling) -> ColumnD
     starts = np.ones(len(order_a), dtype=bool)
     starts[1:] = (cls_a[1:] != cls_a[:-1]) | (cls_b[1:] != cls_b[:-1])
     return ColumnData(
-        factor_index=tw_alpha.factor_index,
         tile=tile,
         alphabet_size=len(phi.alphabet),
-        q_alpha=tw_alpha.base.indices()[order_a],
-        q_beta=tw_beta.base.indices()[order_b],
+        q_alpha=tw_alpha.base[order_a],
+        q_beta=tw_beta.base[order_b],
         col=np.cumsum(starts) - 1,
         levels=tw_alpha.levels[:, order_a],
         name_alpha=names_a[starts],
@@ -657,7 +657,6 @@ class ElementBudget:
 
 @dataclass
 class BudgetReport:
-    factor_index: int | None
     per_element: list[ElementBudget]
 
     @property
@@ -717,7 +716,7 @@ def discrepancy_budget(alpha_i: FactorAction, t: Permutation, levels: np.ndarray
     promised = cd.per_point(cd.name_beta)
     if np.any(phi.codes[levels[matched]] != promised[matched]):
         raise BudgetViolated("matched level lands outside the target-side name cell")
-    report = BudgetReport(cd.factor_index, [])
+    report = BudgetReport([])
     for g in window:
         l1_mask, l2_mask = _loss_masks(n, tile, levels, matched, g)
         l1 = Fraction(int(np.count_nonzero(l1_mask)), n)
@@ -1122,7 +1121,7 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
             alpha_p_i = alpha.factors[i].conjugate(r_perm)
         with _stage(f"tower_pair[{i}]"):
             pair = tower_pair(alpha_p_i, beta.factors[i], phi, window[i],
-                              eps_prime, tile_cap=tile_cap, factor_index=i)
+                              eps_prime, tile_cap=tile_cap)
         with _stage(f"columns[{i}]"):
             cd = column_partitions(pair.tower_alpha, pair.tower_beta, phi)
         with _stage(f"matching[{i}]"):

@@ -16,12 +16,16 @@ dimensions the sides divide are covered exactly; a literal greedy sweep
 handles the remaining orbits, reporting achieved coverage honestly.  It
 returns the ``Tower`` it certified.
 
+A ``Tower`` is its level array alone: the base is the identity's level, the
+base points in increasing order, and no point mask of it is kept.
+
 ``rohlin_avoiding`` upgrades a base to one avoiding a given small set: among
-all tile shifts of W it picks the one meeting the avoidance set least
-(first minimizer in canonical tile order) and removes the intersection.
-Commutativity keeps the shifted family disjoint; the mass bookkeeping gives
-coverage > 1 - eps whenever the avoidance set has mass < eps/2.  The
-``Tower`` it returns carries its level array, which the later stages read.
+all tile shifts of W, which are the level rows of W's tower, it picks the
+one meeting the avoidance set least (first minimizer in canonical tile
+order) and removes the intersection.  Commutativity keeps the shifted
+family disjoint; the mass bookkeeping gives coverage > 1 - eps whenever the
+avoidance set has mass < eps/2.  The ``Tower`` it returns is the one the
+later stages read.
 """
 
 from __future__ import annotations
@@ -136,7 +140,7 @@ def _greedy_base_points(f: FactorAction, t: Tile, sweep: np.ndarray) -> list[int
 
 def tiling_base(f: FactorAction, t: Tile) -> Tower:
     """The tower of ``t`` over a base W with {tW} pairwise disjoint,
-    maximizing coverage.
+    maximizing coverage; W is its identity level, in increasing order.
 
     Exact box packing on the orbit shapes the tile fits; greedy index-order
     sweep over the other orbits (guarded by a cost cap), which needs no
@@ -168,59 +172,47 @@ def tiling_base(f: FactorAction, t: Tile) -> Tower:
             )
         base_points.append(np.array(_greedy_base_points(f, t, sweep), dtype=np.int64))
     # every orbit is packed or swept, so base_points is never empty
-    tower = Tower.over(f, t, PointSet.from_indices(f.space, np.concatenate(base_points)))
-    _, disjoint = tower_support(tower)
-    if not disjoint:
+    tower = Tower.over(f, t, np.sort(np.concatenate(base_points)))
+    if not tower_support(tower, f.space.n_points):
         raise CoverageShortfall("internal error: constructed base has overlapping levels")
     return tower
 
 
-def tower_support(tower: Tower) -> tuple[PointSet, bool]:
-    """Union of a tower's levels and whether they are pairwise disjoint."""
-    space = tower.base.space
-    mask = np.zeros(space.n_points, dtype=bool)
+def tower_support(tower: Tower, n: int) -> bool:
+    """Whether a tower's levels, in a space of n points, are pairwise disjoint."""
+    mask = np.zeros(n, dtype=bool)
     mask[tower.levels] = True
-    return PointSet(space, mask), int(np.count_nonzero(mask)) == tower.levels.size
+    return int(np.count_nonzero(mask)) == tower.levels.size
 
 
 @dataclass
 class Tower:
-    """A Rohlin tower: a base set and the family of tile levels over it.
+    """A Rohlin tower: the family of tile levels over a base.
 
     ``levels`` is the |T| x |B| level array ``FactorAction.tile_images``
     returns for the base points in increasing order: ``levels[t, i]`` is the
-    point t . b_i.  It is built once, by ``Tower.over``; every later stage
+    point t . b_i.  The base is the identity's level, so no other copy of it
+    is kept.  The array is built once, by ``Tower.over``; every later stage
     reads it, and trimming the base slices it.
     """
 
     tile: Tile
-    base: PointSet
     levels: np.ndarray
-    factor_index: int | None = None
 
     @classmethod
-    def over(cls, f: FactorAction, tile: Tile, base: PointSet,
-             factor_index: int | None = None) -> Tower:
-        """The tower of ``tile`` over ``base`` under the action ``f``."""
-        return cls(tile, base, f.tile_images(tile, base.indices()), factor_index)
+    def over(cls, f: FactorAction, tile: Tile, base_points: np.ndarray) -> Tower:
+        """The tower of ``tile`` over the increasing points ``base_points``
+        under the action ``f``."""
+        return cls(tile, f.tile_images(tile, base_points))
+
+    @property
+    def base(self) -> np.ndarray:
+        """The base points in increasing order: the identity's level."""
+        return self.levels[self.tile.identity_index]
 
     def trimmed(self, size: int) -> Tower:
-        """The tower over the ``size`` lowest-index base points."""
-        if size == self.base.size:
-            return self
-        keep = PointSet.from_indices(self.base.space, self.base.indices()[:size])
-        return Tower(self.tile, keep, self.levels[:, :size], self.factor_index)
-
-    def to_dict(self) -> dict:
-        return {
-            "factor": self.factor_index,
-            "tile": {
-                "lows": list(self.tile.lows),
-                "highs": list(self.tile.highs),
-                "torsion": list(self.tile.spec.torsion_moduli),
-            },
-            "base": self.base.to_sorted_list(),
-        }
+        """The tower over the ``size`` lowest base points."""
+        return Tower(self.tile, self.levels[:, :size])
 
 
 @dataclass
@@ -236,59 +228,61 @@ class TowerReport:
         return self.disjoint and (self.avoid_clear is not False)
 
 
-def rohlin_avoiding(f: FactorAction, t: Tile, eps, avoid: PointSet,
-                    factor_index: int | None = None) -> Tower:
+def rohlin_avoiding(f: FactorAction, t: Tile, eps, avoid: PointSet) -> Tower:
     """Tower with disjoint levels, coverage > 1 - eps, and base disjoint
     from ``avoid``.
 
     Requires mass(avoid) < eps/2.  Stage one builds a plain tiling base W at
     coverage > 1 - eps/2; stage two shifts W by the tile element whose level
-    meets ``avoid`` least (first minimizer in canonical tile order) and
-    removes the leftover intersection.  Each bound has one check: W's
-    levels in ``tiling_base``, the rest here; ``tower_pair`` avoids its bad
-    set, so the base check puts every base window within 3 eps'.
+    meets ``avoid`` least (first minimizer in canonical tile order), which
+    is that level of W's tower, and removes the leftover intersection.  Each
+    bound has one check: W's levels in ``tiling_base``, the rest here;
+    ``tower_pair`` avoids its bad set, so the base check puts every base
+    window within 3 eps'.
     """
     eps = exact_fraction(eps)
     if measure(avoid) >= eps / 2:
         raise HypothesisViolated(
             f"avoidance set has mass {measure(avoid)} >= eps/2 = {eps / 2}"
         )
+    n = f.space.n_points
     floor = 1 - eps / 2
     w = tiling_base(f, t)
     # tiling_base certified the levels of W disjoint, so they cover |T||W|
-    coverage = Fraction(t.size * w.base.size, f.space.n_points)
+    coverage = Fraction(w.levels.size, n)
     if coverage <= floor:
         raise CoverageBelowFloor(
             f"tiling base coverage {coverage} not strictly above {floor}"
         )
     # per tile element, how much its copy of W meets the avoidance set
     hits = np.count_nonzero(avoid.mask[w.levels], axis=1)
-    t0_index = int(np.argmin(hits))
-    t0 = t.element_at(t0_index)
-    shifted = f.element_image_set(t0, w.base)
-    base = shifted - avoid
-    tower = Tower.over(f, t, base, factor_index)
-    support_b, disjoint = tower_support(tower)
-    if not disjoint:
+    shifted = w.levels[int(np.argmin(hits))]
+    tower = Tower.over(f, t, np.sort(shifted[~avoid.mask[shifted]]))
+    if not tower_support(tower, n):
         raise CoverageShortfall("internal error: shifted base has overlapping levels")
-    if measure(support_b) <= 1 - eps:
+    # disjoint levels cover |T||B| points
+    coverage = Fraction(tower.levels.size, n)
+    if coverage <= 1 - eps:
         raise CoverageBelowFloor(
-            f"tower coverage {measure(support_b)} not strictly above {1 - eps}"
+            f"tower coverage {coverage} not strictly above {1 - eps}"
         )
-    if (base & avoid).size:
+    if avoid.mask[tower.base].any():
         raise HypothesisViolated("internal error: base meets the avoidance set")
     return tower
 
 
 def verify_tower(tw: Tower, f: FactorAction, avoid: PointSet | None = None) -> TowerReport:
     """Re-check disjointness, coverage, and (optionally) avoidance."""
-    support, disjoint = tower_support(Tower.over(f, tw.tile, tw.base))
+    levels = f.tile_images(tw.tile, tw.base)
+    support = np.zeros(f.space.n_points, dtype=bool)
+    support[levels] = True
+    covered = int(np.count_nonzero(support))
     avoid_clear = None
     if avoid is not None:
-        avoid_clear = (tw.base & avoid).size == 0
+        avoid_clear = not avoid.mask[tw.base].any()
     return TowerReport(
-        disjoint=disjoint,
-        coverage=measure(support),
+        disjoint=covered == levels.size,
+        coverage=Fraction(covered, f.space.n_points),
         base_size=tw.base.size,
         level_count=tw.tile.size,
         avoid_clear=avoid_clear,

@@ -47,11 +47,6 @@ class FiniteSpace:
             raise ValueError(f"n_points must be a positive integer, got {n_points!r}")
         self.n_points = int(n_points)
 
-    def check_point(self, x: int) -> int:
-        if not 0 <= x < self.n_points:
-            raise ValueError(f"point {x} outside [0, {self.n_points})")
-        return int(x)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteSpace) and other.n_points == self.n_points
 

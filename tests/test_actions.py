@@ -13,20 +13,11 @@ from orbitrewire import (
     FiniteSpace,
     FreeProductSystem,
     FreeWord,
-    Labeling,
     Permutation,
     PointSet,
-    act,
-    act_word,
-    average,
     box_tile,
-    folner_tile,
     freeness_defect,
     measure,
-    orbit_average_function,
-    orbit_decomposition,
-    orbit_pushforward,
-    pushforward,
     sym_diff_mass,
     weak_discrepancy,
 )
@@ -45,47 +36,48 @@ def grid_action(m1: int, m2: int) -> FactorAction:
 
 def test_act_examples(z12):
     f = rotation(z12, 1)
-    assert act(f, Z.identity(), 5) == 5
-    assert act(f, Z.element([5]), 9) == 2
+    assert f.element_image_points(Z.identity(), [5]).tolist() == [5]
+    assert f.element_image_points(Z.element([5]), [9, 0]).tolist() == [2, 5]
     g = grid_action(4, 4)
     # x = (0,0), shift by (1,2) -> (1,2) = index 6
-    assert act(g, AbelianGroupSpec(2).element([1, 2]), 0) == 6
+    assert g.element_image_points(AbelianGroupSpec(2).element([1, 2]), [0]).tolist() == [6]
 
 
 def test_act_word_examples(z12):
     sys = rotation_system(z12, 1, 5)
-    assert act_word(sys, FreeWord.identity(), 7) == 7
+    points = np.arange(12)
+    assert sys.word_image_points(FreeWord.identity(), points).tolist() == points.tolist()
     w = FreeWord.letter(1, Z.element([2]))
-    assert act_word(sys, w, 0) == act(sys.factors[1], Z.element([2]), 0)
+    assert np.array_equal(sys.word_image_points(w, points),
+                          sys.factors[1].element_image_points(Z.element([2]), points))
     rng = random.Random(17)
     for _ in range(50):
         w = FreeWord(
             [(rng.randrange(0, 2), Z.element([rng.randrange(-3, 4)]))
              for _ in range(rng.randrange(0, 5))]
         )
-        x = rng.randrange(12)
-        assert act_word(sys, w * w.inverse(), x) == x
+        assert sys.word_image_points(w * w.inverse(), points).tolist() == points.tolist()
 
 
 def test_word_acts_right_to_left(z12):
     sys = rotation_system(z12, 1, 5)
     w = FreeWord([(0, Z.element([2])), (1, Z.element([1]))])
     # w = g0^2 * g1: apply g1 (step 5) first, then g0^2 (step 1 twice)
-    assert act_word(sys, w, 0) == (0 + 5 + 2) % 12
+    assert sys.word_image_points(w, [0]).tolist() == [(0 + 5 + 2) % 12]
 
 
 def test_orbit_decomposition_examples():
     sp = FiniteSpace(6)
-    assert orbit_decomposition(rotation(sp, 1)).n_orbits == 1
-    od = orbit_decomposition(rotation(sp, 2))
+    assert rotation(sp, 1).orbits().n_orbits == 1
+    od = rotation(sp, 2).orbits()
     assert [sorted(o.tolist()) for o in od.orbits] == [[0, 2, 4], [1, 3, 5]]
     ident = FactorAction(Z, sp, (Permutation.identity(sp),))
-    assert orbit_decomposition(ident).n_orbits == 6
+    assert ident.orbits().n_orbits == 6
 
 
 def test_orbit_decomposition_multi_generator_matches_union():
     g = grid_action(4, 6)
-    od = orbit_decomposition(g)
+    od = g.orbits()
     assert od.is_transitive
     sp = g.space
     # two commuting rotations on one cycle: orbits are gcd classes
@@ -97,7 +89,7 @@ def test_orbit_decomposition_multi_generator_matches_union():
             Permutation(sp, (np.arange(24) + 6) % 24),
         ),
     )
-    od2 = orbit_decomposition(f)
+    od2 = f.orbits()
     assert od2.n_orbits == 2  # gcd(4, 6) = 2
     assert sorted(od2.orbits[0].tolist()) == list(range(0, 24, 2))
 
@@ -120,7 +112,6 @@ def test_orbit_numbering_matches_unique(n, k, seed):
     sorter = np.argsort(inverse, kind="stable")
     eager = np.split(sorter, np.cumsum(np.bincount(inverse))[:-1])
     assert [o.tolist() for o in od.orbits] == [o.tolist() for o in eager]
-    assert all(od.orbit_of(x).tolist() == eager[inverse[x]].tolist() for x in range(n))
 
 
 def _orbits_loop(n: int, forwards) -> list[int]:
@@ -160,49 +151,6 @@ def test_label_propagation_matches_union_find(n, k, seed):
     assert od.orbit_id.tolist() == _orbits_loop(n, forwards)
 
 
-def test_orbit_pushforward_examples():
-    sp = FiniteSpace(6)
-    f = rotation(sp, 2)
-    od = orbit_decomposition(f)
-    lab = Labeling.from_symbols(sp, ["a", "x", "a", "x", "b", "x"], alphabet=("a", "b", "x"))
-    dist = orbit_pushforward(od, lab, 0)
-    assert dist.mass("a") == Fraction(2, 3)
-    assert dist.mass("b") == Fraction(1, 3)
-    const = Labeling.constant(sp, "c")
-    assert orbit_pushforward(od, const, 1).is_point_mass()
-
-
-def test_orbit_pushforward_disintegrates_to_global():
-    rng = random.Random(5)
-    sp = FiniteSpace(24)
-    f = rotation(sp, rng.choice([2, 3, 4]))
-    od = orbit_decomposition(f)
-    codes = [rng.randrange(3) for _ in range(24)]
-    lab = Labeling(sp, ("a", "b", "c"), np.array(codes))
-    total = {a: Fraction(0) for a in lab.alphabet}
-    for orbit in od.orbits:
-        dist = orbit_pushforward(od, lab, int(orbit[0]))
-        for a in lab.alphabet:
-            total[a] += dist.mass(a) * Fraction(len(orbit), 24)
-    glob = pushforward(lab)
-    assert all(total[a] == glob.mass(a) for a in lab.alphabet)
-
-
-def test_average_examples(z12):
-    f = rotation(z12, 1)
-    full = FactorAction(
-        AbelianGroupSpec(0, (12,)), z12,
-        (Permutation(z12, (np.arange(12) + 1) % 12),),
-    )
-    ind = pointset(z12, 2, 5, 7)
-    t = folner_tile(AbelianGroupSpec(0, (12,)), 1)
-    assert average(full, t, ind, 4) == measure(ind)
-    assert average(f, box_tile(Z, [0], [4]), PointSet.full(z12), 3) == 1
-    assert average(f, box_tile(Z, [0], [2]), pointset(z12, 0, 1), 0) == Fraction(2, 3)
-    assert average(f, [Z.element([0]), Z.element([1]), Z.element([2])],
-                   pointset(z12, 0, 1), 0) == Fraction(2, 3)
-
-
 def test_window_counts_against_brute_force():
     rng = random.Random(11)
     for _ in range(20):
@@ -214,13 +162,13 @@ def test_window_counts_against_brute_force():
         tile = box_tile(spec2, [lo1, lo2], [hi1, hi2])
         vals = np.array([rng.randrange(0, 4) for _ in range(m1 * m2)], dtype=np.int64)
         got = g.window_counts(tile, vals)
-        for x in range(m1 * m2):
-            expect = sum(
-                vals[act(g, spec2.element([i, j]), x)]
-                for i in range(lo1, hi1 + 1)
-                for j in range(lo2, hi2 + 1)
-            )
-            assert got[x] == expect
+        points = np.arange(m1 * m2)
+        expect = sum(
+            vals[g.element_image_points(spec2.element([i, j]), points)]
+            for i in range(lo1, hi1 + 1)
+            for j in range(lo2, hi2 + 1)
+        )
+        assert got.tolist() == expect.tolist()
 
 
 def test_tile_images_matches_elementwise_action(z12):
@@ -228,7 +176,7 @@ def test_tile_images_matches_elementwise_action(z12):
     tile = box_tile(Z, [-2], [3])
     imgs = f.tile_images(tile, 7)
     for idx in range(tile.size):
-        assert imgs[idx] == act(f, tile.element_at(idx), 7)
+        assert [imgs[idx]] == f.element_image_points(tile.element_at(idx), [7]).tolist()
 
 
 def test_weak_discrepancy_examples():
@@ -269,21 +217,6 @@ def test_freeness_defect_examples():
     assert freeness_defect(f2, window2) == 0
     with pytest.raises(IdentityInWindow):
         freeness_defect(f, [Z.identity()])
-
-
-def test_orbit_average_function_examples():
-    sp = FiniteSpace(6)
-    f = rotation(sp, 2)
-    oa = orbit_average_function(f, pointset(sp, 0, 1, 3))
-    assert oa[0] == Fraction(1, 3)
-    assert oa[2] == Fraction(1, 3)
-    assert oa[1] == Fraction(2, 3)
-    zero = orbit_average_function(f, PointSet.empty(sp))
-    assert all(zero[x] == 0 for x in range(6))
-    transitive = rotation(sp, 1)
-    ind = pointset(sp, 0, 4)
-    oat = orbit_average_function(transitive, ind)
-    assert all(oat[x] == measure(ind) for x in range(6))
 
 
 def test_generator_commutation_enforced():
@@ -336,9 +269,8 @@ def test_window_average_trend_toward_global():
     devs = []
     for side in (3, 7, 15, 24):
         tile = box_tile(Z, [0], [side - 1])
-        worst = max(
-            abs(average(f, tile, evens, x) - measure(evens)) for x in range(24)
-        )
+        counts = f.window_counts(tile, evens.mask)
+        worst = max(abs(Fraction(int(c), tile.size) - measure(evens)) for c in counts)
         devs.append(worst)
     assert devs == sorted(devs, reverse=True)
     assert devs[-1] == 0

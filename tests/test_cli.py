@@ -63,6 +63,10 @@ def test_config_validation_errors():
     bad["space_size"] = -5
     with pytest.raises(ConfigError):
         RunConfig.from_dict(bad)
+    bad = dict(BASE_CONFIG)
+    bad["seed"] = -5
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        RunConfig.from_dict(bad)
 
 
 def test_generate_templates_validate():
@@ -198,8 +202,14 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
     for key, value in (("window", [[[10**30]], [[1]]]), ("window", [[[-2**63 - 1]], [[1]]]),
                        ("tile_cap", 0), ("tile_cap", -5),
                        ("eps_prime_override", "2"), ("eps_prime_override", "1"),
-                       ("eps_prime_override", "0")):
+                       ("eps_prime_override", "0"), ("seed", -5)):
         assert main(["run", str(write_config(tmp_path, {key: value}))]) == 2
+    # a negative seed is refused before generate writes the config, and by
+    # run's --seed override
+    gen = tmp_path / "negative-seed.json"
+    assert main(["generate", "--seed", "-5", "--space-size", "2000", "--out", str(gen)]) == 2
+    assert not gen.exists()
+    assert main(["run", str(write_config(tmp_path)), "--seed", "-5"]) == 2
     # eps' too fine for exact int64 arithmetic at this space size
     cfg = write_config(tmp_path)
     assert main(["run", str(cfg), "--space-size", "100000",

@@ -40,7 +40,7 @@ from orbitrewire import (
 from orbitrewire.errors import BudgetViolated, DefectBoundViolated, OrbitRewireError
 from orbitrewire.generate import generate_system
 from orbitrewire.rewiring import ColumnData, _loss_masks
-from orbitrewire.rohlin import tiling_base, tower_support
+from orbitrewire.rohlin import rohlin_avoiding, tiling_base, tower_support
 from orbitrewire.space import sym_diff_mass
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -53,7 +53,7 @@ SETTINGS = settings(max_examples=60, deadline=None)
 def tower_support_loop(f, t, base):
     mask = np.zeros(f.space.n_points, dtype=bool)
     disjoint = True
-    for x in base.indices():
+    for x in base:
         idx = f.tile_images(t, int(x))
         if np.unique(idx).size != idx.size or mask[idx].any():
             disjoint = False
@@ -61,10 +61,19 @@ def tower_support_loop(f, t, base):
     return mask, disjoint
 
 
+def avoiding_base_loop(f, tile, w, avoid):
+    """The former Rohlin base: W shifted by the first tile element whose
+    copy of W meets ``avoid`` least, minus ``avoid``, in increasing order."""
+    copies = [f.element_image_points(tile.element_at(j), w) for j in range(tile.size)]
+    hits = [int(np.count_nonzero(avoid.mask[c])) for c in copies]
+    t0 = min(range(tile.size), key=hits.__getitem__)
+    return sorted(set(copies[t0].tolist()) - avoid.members)
+
+
 def name_classes_loop(f, tile, base, codes):
     """(name, points) per distinct tile name over the base, in name order."""
     classes = {}
-    for x in base.indices():
+    for x in base:
         name = codes[f.tile_images(tile, int(x))].astype(np.int16)
         key = name.astype(">u2").tobytes()
         classes.setdefault(key, (name, []))[1].append(int(x))
@@ -219,9 +228,8 @@ def fitting_tiles(draw, f: FactorAction):
     return box_tile(f.spec, lows, highs)
 
 
-def _random_columns(rng, f, tile, base: PointSet) -> ColumnData:
+def _random_columns(rng, f, tile, pts: np.ndarray) -> ColumnData:
     """Base points split into columns with random identity-fixing sigmas."""
-    pts = base.indices()
     cuts = np.sort(rng.choice(len(pts) + 1, size=min(3, len(pts) + 1), replace=False))
     sizes = np.diff(np.concatenate([[0], cuts, [len(pts)]]))
     e = tile.identity_index
@@ -230,7 +238,7 @@ def _random_columns(rng, f, tile, base: PointSet) -> ColumnData:
     for row in sigma:
         row[others] = rng.permutation(others)
     names = np.zeros((len(sizes), tile.size), dtype=np.int16)
-    return ColumnData(factor_index=None, tile=tile, alphabet_size=1, q_alpha=pts, q_beta=pts,
+    return ColumnData(tile=tile, alphabet_size=1, q_alpha=pts, q_beta=pts,
                       col=np.repeat(np.arange(len(sizes)), sizes),
                       levels=f.tile_images(tile, pts), name_alpha=names, name_beta=names,
                       sigma=sigma, matched=rng.random(sigma.shape) < 0.7)
@@ -259,14 +267,37 @@ def test_tower_support_matches_loop(data):
     f = data.draw(factor_actions())
     tile = data.draw(fitting_tiles(f))
     n = f.space.n_points
-    bases = [PointSet.from_indices(f.space, data.draw(st.sets(st.integers(0, n - 1)))),
+    bases = [np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64),
              tiling_base(f, tile).base]
     for base in bases:
-        support, disjoint = tower_support(Tower.over(f, tile, base))
+        tower = Tower.over(f, tile, base)
+        disjoint = tower_support(tower, n)
         mask, disjoint_loop = tower_support_loop(f, tile, base)
-        assert np.array_equal(support.mask, mask)
+        support = np.zeros(n, dtype=bool)
+        support[tower.levels] = True
+        assert np.array_equal(support, mask)
         assert disjoint == disjoint_loop
     assert disjoint  # tiling_base levels are disjoint
+
+
+@SETTINGS
+@given(st.data(), st.integers(0, 2**32 - 1))
+def test_tower_base_is_the_increasing_identity_level(data, seed):
+    # the base is read off the level array, so it must be the increasing
+    # base points the levels were built over, for both Rohlin stages
+    f = data.draw(factor_actions())
+    tile = data.draw(fitting_tiles(f))
+    n = f.space.n_points
+    w = tiling_base(f, tile)
+    rng = np.random.default_rng(seed)
+    avoid = PointSet(f.space, rng.random(n) < rng.random() / 2)
+    # any eps above both shortfalls meets rohlin_avoiding's hypotheses
+    eps = 2 * max(1 - Fraction(w.levels.size, n), Fraction(avoid.size, n)) + Fraction(1, n)
+    tw = rohlin_avoiding(f, tile, eps, avoid)
+    for tower in (w, tw):
+        assert np.all(np.diff(tower.base) > 0)
+        assert np.array_equal(Tower.over(f, tile, tower.base).levels, tower.levels)
+    assert tw.base.tolist() == avoiding_base_loop(f, tile, w.base, avoid)
 
 
 @SETTINGS
@@ -282,8 +313,7 @@ def test_column_partitions_match_while_loop(data, k_sym, seed):
     f_b = f_a.conjugate(Permutation(f_a.space, rng.permutation(n)))
     phi = Labeling(f_a.space, range(k_sym), rng.integers(0, k_sym, n))
     size = data.draw(st.integers(0, n))
-    tw_a, tw_b = (Tower.over(f, tile, PointSet.from_indices(f.space, rng.choice(n, size, False)))
-                  for f in (f_a, f_b))
+    tw_a, tw_b = (Tower.over(f, tile, np.sort(rng.choice(n, size, False))) for f in (f_a, f_b))
     cd = column_partitions(tw_a, tw_b, phi)
     assert_columns_match_loop(cd, f_a, tw_a, f_b, tw_b, phi.codes)
 
@@ -291,7 +321,7 @@ def test_column_partitions_match_while_loop(data, k_sym, seed):
 def _rows_only(tile, k_sym, names_a, names_b) -> ColumnData:
     """Columns of one base point each; tile_matching reads only the rows."""
     pts = np.arange(len(names_a), dtype=np.int64)
-    return ColumnData(factor_index=None, tile=tile, alphabet_size=k_sym, q_alpha=pts,
+    return ColumnData(tile=tile, alphabet_size=k_sym, q_alpha=pts,
                       q_beta=pts, col=pts, levels=np.zeros((tile.size, len(pts)), np.int64),
                       name_alpha=np.asarray(names_a, dtype=np.int16),
                       name_beta=np.asarray(names_b, dtype=np.int16))

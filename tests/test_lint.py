@@ -12,13 +12,19 @@ not a dunder; it counts as referenced when its name appears as a ``Name``,
 an attribute or an imported name anywhere in ``src/`` or ``tests/``.  A
 public method of a top-level class, whose name has no leading ``_``, must
 be referenced the same way; a top-level public function may be API that
-only the package namespace exports, so it is not scanned.
+only the package namespace exports, so it is not scanned.  What the package
+namespace exports (``orbitrewire.__all__``, submodules aside) must be
+referenced the same way by a package module other than ``__init__``, or be
+imported by the acceptance tests: no export serves the unit tests alone.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import orbitrewire
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "orbitrewire").glob("*.py"))
@@ -115,3 +121,15 @@ def test_no_uncalled_public_methods(path, references):
                   if name.rpartition(".")[2] not in references)
     assert not dead, f"{path.name}: public methods nothing references " + ", ".join(
         f"{name} (line {line})" for line, name in dead)
+
+
+def test_every_export_has_a_caller_or_an_acceptance_test():
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    used = set(imported_names(acceptance))
+    for path in PACKAGE:
+        if path.name != "__init__.py":
+            used |= referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    exports = [name for name in orbitrewire.__all__
+               if not isinstance(getattr(orbitrewire, name), types.ModuleType)]
+    unused = sorted(set(exports) - used)
+    assert not unused, "exports without a caller or an acceptance test: " + ", ".join(unused)

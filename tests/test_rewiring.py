@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import Z, pointset, rotation, rotation_system
+from conftest import Z, rotation, rotation_system
 
 from orbitrewire import (
     AbelianGroupSpec,
@@ -203,8 +203,7 @@ def test_tower_pair_small_model_raises_other_rohlin_shortfalls(monkeypatch, faul
     # refused greedy sweep end the search with their own cause
     alpha_f, beta_f, phi, window = _lattice_pair()
     if fault == "overlap":
-        monkeypatch.setattr(rohlin, "tower_support",
-                            lambda tower: (PointSet.empty(tower.base.space), False))
+        monkeypatch.setattr(rohlin, "tower_support", lambda tower, n: False)
         cause = "overlapping levels"
     else:
         monkeypatch.setattr(rohlin, "GREEDY_COST_CAP", 0)
@@ -237,7 +236,7 @@ def test_tower_pair_bases_meet_the_window_bound(pair, eps):
     n, tsz = phi.space.n_points, res.tile.size
     cell = phi.cell_counts()
     for f, tw in ((alpha_f, res.tower_alpha), (beta_f, res.tower_beta)):
-        base = tw.base.indices()
+        base = tw.base
         assert base.size == res.base_size
         counts = np.zeros((base.size, len(cell)), dtype=np.int64)
         for j in range(tsz):
@@ -251,11 +250,11 @@ def test_equalize_bases_trims_highest_indices():
     sp = FiniteSpace(40)
     t = box_tile(Z, [0], [3])
     f = rotation(sp, 1)
-    tw_a = Tower.over(f, t, pointset(sp, 0, 4, 8, 12, 16))
-    tw_b = Tower.over(f, t, pointset(sp, 1, 5, 9, 13))
+    tw_a = Tower.over(f, t, np.array([0, 4, 8, 12, 16]))
+    tw_b = Tower.over(f, t, np.array([1, 5, 9, 13]))
     a2, b2 = equalize_bases(tw_a, tw_b)
-    assert a2.base.members == {0, 4, 8, 12}
-    assert b2.base.members == {1, 5, 9, 13}
+    assert a2.base.tolist() == [0, 4, 8, 12]
+    assert b2.base.tolist() == [1, 5, 9, 13]
     assert np.array_equal(a2.levels, f.tile_images(t, [0, 4, 8, 12]))
     assert np.array_equal(b2.levels, tw_b.levels)
 
@@ -313,8 +312,8 @@ def test_column_partitions_greedy_split_sizes():
         sp, ("x", "y"),
         np.array([0] * 50 + [1] * 50, dtype=np.int64),
     )
-    tw_a = Tower.over(f, t, pointset(sp, 0, 1, 2, 60))
-    tw_b = Tower.over(f, t, pointset(sp, 3, 4, 61, 62))
+    tw_a = Tower.over(f, t, np.array([0, 1, 2, 60]))
+    tw_b = Tower.over(f, t, np.array([3, 4, 61, 62]))
     cd = column_partitions(tw_a, tw_b, phi)
     assert np.bincount(cd.col).tolist() == [2, 1, 1]
     assert cd.col.tolist() == [0, 0, 1, 2]
@@ -340,8 +339,8 @@ def test_column_partitions_base_size_mismatch():
     f = rotation(sp, 1)
     phi = Labeling.constant(sp, ())
     with pytest.raises(BaseSizeMismatch):
-        column_partitions(Tower.over(f, t, pointset(sp, 0, 1)),
-                          Tower.over(f, t, pointset(sp, 2)),
+        column_partitions(Tower.over(f, t, np.array([0, 1])),
+                          Tower.over(f, t, np.array([2])),
                           phi)
 
 
@@ -353,7 +352,6 @@ def _column_data(sp, tile, name_a, name_b, q_a, q_b, k_sym):
     """One column over the bases q_a and q_b of the rotation by 1."""
     q_a = np.asarray(q_a, dtype=np.int64)
     return ColumnData(
-        factor_index=None,
         tile=tile,
         alphabet_size=k_sym,
         q_alpha=q_a,
@@ -428,7 +426,6 @@ def test_build_rewiring_swap_levels_on_z6():
     f = rotation(sp, 1)
     tile = box_tile(Z, [0], [2])
     cd = ColumnData(
-        factor_index=None,
         tile=tile,
         alphabet_size=1,
         q_alpha=np.array([0, 3]),
@@ -454,7 +451,6 @@ def test_build_rewiring_fixes_points_outside_tower():
     f = rotation(sp, 1)
     tile = box_tile(Z, [0], [2])
     cd = ColumnData(
-        factor_index=None,
         tile=tile,
         alphabet_size=1,
         q_alpha=np.array([0]),

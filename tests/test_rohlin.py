@@ -14,8 +14,6 @@ from orbitrewire import (
     PointSet,
     Tower,
     box_tile,
-    folner_tile,
-    measure,
     rohlin_avoiding,
     tiling_base,
     verify_tower,
@@ -31,17 +29,17 @@ from orbitrewire.rohlin import tower_support
 def test_tiling_base_exact_lattice(z12):
     f = rotation(z12, 1)
     tower = tiling_base(f, box_tile(Z, [0], [2]))
-    assert tower.base.members == {0, 3, 6, 9}
-    support, disjoint = tower_support(tower)
-    assert disjoint and measure(support) == 1
+    assert tower.base.tolist() == [0, 3, 6, 9]
+    assert tower_support(tower, 12)
+    rep = verify_tower(tower, f)
+    assert rep.disjoint and rep.coverage == 1
 
 
 def test_tiling_base_full_cycle(z12):
     f = rotation(z12, 1)
     tower = tiling_base(f, box_tile(Z, [0], [11]))
-    assert tower.base.members == {0}
-    _, disjoint = tower_support(tower)
-    assert disjoint
+    assert tower.base.tolist() == [0]
+    assert tower_support(tower, 12)
 
 
 def test_tiling_base_non_divisor_leaves_remainder():
@@ -49,10 +47,10 @@ def test_tiling_base_non_divisor_leaves_remainder():
     f = rotation(sp, 1)
     t = box_tile(Z, [0], [2])
     w = tiling_base(f, t).base
-    assert w.members == {0, 3, 6, 9}
-    support, disjoint = tower_support(Tower.over(f, t, w))
-    assert disjoint
-    assert measure(support) == Fraction(12, 13)
+    assert w.tolist() == [0, 3, 6, 9]
+    rep = verify_tower(Tower.over(f, t, w), f)
+    assert rep.disjoint
+    assert rep.coverage == Fraction(12, 13)
     # the Rohlin stage's floor at eps = 1/10 is 1 - 1/20, above 12/13
     with pytest.raises(CoverageBelowFloor):
         rohlin_avoiding(f, t, Fraction(1, 10), PointSet.empty(sp))
@@ -78,11 +76,11 @@ def test_tiling_base_grid_exact():
             Permutation(sp, r * m2 + (c + 1) % m2),
         ),
     )
-    t = folner_tile(spec2, 1)  # 3x3 box
+    t = box_tile(spec2, [-1, -1], [1, 1])  # 3x3 box
     w = tiling_base(f, t).base
-    support, disjoint = tower_support(Tower.over(f, t, w))
-    assert disjoint
-    assert measure(support) == 1
+    rep = verify_tower(Tower.over(f, t, w), f)
+    assert rep.disjoint
+    assert rep.coverage == 1
     assert w.size == 4
 
 
@@ -100,9 +98,9 @@ def test_tiling_base_greedy_on_non_product_orbit():
     )
     t = box_tile(spec2, [0, 0], [1, 0])  # {(0,0), (1,0)}
     w = tiling_base(f, t).base
-    support, disjoint = tower_support(Tower.over(f, t, w))
-    assert disjoint
-    assert measure(support) >= Fraction(2, 3)
+    rep = verify_tower(Tower.over(f, t, w), f)
+    assert rep.disjoint
+    assert rep.coverage >= Fraction(2, 3)
 
 
 def test_rohlin_avoiding_no_avoidance(z12):
@@ -111,16 +109,16 @@ def test_rohlin_avoiding_no_avoidance(z12):
     tower = rohlin_avoiding(f, t, Fraction(1, 2), PointSet.empty(z12))
     rep = verify_tower(tower, f, avoid=PointSet.empty(z12))
     assert rep.disjoint and rep.coverage == 1 and rep.avoid_clear
-    assert tower.base.members == {0, 3, 6, 9}
+    assert tower.base.tolist() == [0, 3, 6, 9]
 
 
 def test_rohlin_avoiding_spec_cases(z12):
     f = rotation(z12, 1)
     t = box_tile(Z, [0], [2])
     tower = rohlin_avoiding(f, t, Fraction(1, 2), pointset(z12, 3))
-    assert tower.base.members == {1, 4, 7, 10}
+    assert tower.base.tolist() == [1, 4, 7, 10]
     tower2 = rohlin_avoiding(f, t, Fraction(1, 2), pointset(z12, 1, 4))
-    assert tower2.base.members == {0, 3, 6, 9}
+    assert tower2.base.tolist() == [0, 3, 6, 9]
 
 
 def test_rohlin_avoiding_hypothesis_violated(z12):
@@ -134,10 +132,10 @@ def test_verify_tower_detects_overlap():
     sp = FiniteSpace(4)
     f = rotation(sp, 1)
     t = box_tile(Z, [0], [1])
-    bad = Tower.over(f, t, pointset(sp, 0, 1))
+    bad = Tower.over(f, t, np.array([0, 1]))
     rep = verify_tower(bad, f)
     assert not rep.disjoint
-    empty = Tower.over(f, t, PointSet.empty(sp))
+    empty = Tower.over(f, t, np.array([], dtype=np.int64))
     rep2 = verify_tower(empty, f)
     assert rep2.disjoint and rep2.coverage == 0
 
@@ -149,9 +147,8 @@ def test_shifted_family_stays_disjoint():
     t = box_tile(Z, [-1], [2])
     w = tiling_base(f, t).base
     for t0_idx in range(t.size):
-        shifted = f.element_image_set(t.element_at(t0_idx), w)
-        _, disjoint = tower_support(Tower.over(f, t, shifted))
-        assert disjoint
+        shifted = f.element_image_points(t.element_at(t0_idx), w)
+        assert tower_support(Tower.over(f, t, np.sort(shifted)), 24)
 
 
 def test_rohlin_mass_bookkeeping_exhaustive_small():
@@ -170,18 +167,8 @@ def test_rohlin_mass_bookkeeping_exhaustive_small():
             assert rep.coverage > 1 - eps
             assert rep.avoid_clear
             # base mass bound from the argmin step
-            assert measure(tower.base) > measure(tiling_base(f, t).base) - eps / (2 * t.size)
+            assert Fraction(tower.base.size, 12) > \
+                Fraction(tiling_base(f, t).base.size, 12) - eps / (2 * t.size)
             count += 1
     assert count == 79
 
-
-def test_tower_serialization_schema(z12):
-    f = rotation(z12, 1)
-    t = box_tile(Z, [0], [2])
-    tower = rohlin_avoiding(f, t, Fraction(1, 2), pointset(z12, 3), factor_index=0)
-    d = tower.to_dict()
-    assert d == {
-        "factor": 0,
-        "tile": {"lows": [0], "highs": [2], "torsion": []},
-        "base": [1, 4, 7, 10],
-    }

@@ -182,16 +182,6 @@ def test_space_rejects_nonpositive_size():
         FiniteSpace(0)
 
 
-def test_average_empty_family_rejected():
-    from conftest import rotation
-    from orbitrewire import average
-
-    sp = FiniteSpace(6)
-    f = rotation(sp, 1)
-    with pytest.raises(ValueError):
-        average(f, [], PointSet.full(sp), 0)
-
-
 @pytest.mark.parametrize("indices", [
     np.array([7, 0, 3, 3], dtype=np.int64),
     np.array([7, 0, 3], dtype=np.int32),
