@@ -4,8 +4,9 @@ at desk scale with exact rational certification.
 Core objects: finite uniform spaces with exact masses (:mod:`.space`), box
 tiles and free-product words (:mod:`.groups`), chart-accelerated permutation
 actions (:mod:`.actions`), Rohlin towers with avoidance (:mod:`.rohlin`),
-orbit-balanced labelings (:mod:`.goodpart`), and the rewiring pipeline
-(:mod:`.rewiring`).  The CLI lives in :mod:`.cli`.
+orbit-balanced labelings (:mod:`.goodpart`), the rewiring pipeline
+(:mod:`.rewiring`), and every certified bound (:mod:`.certify`).  The CLI
+lives in :mod:`.cli`.
 """
 
 from .space import (

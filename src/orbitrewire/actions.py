@@ -39,16 +39,15 @@ Orbits of a factor are the joins of its generators' cycles; for a single
 generator they are the cycles themselves, otherwise minimum-label propagation
 along cycles merges them.  Its fixpoint labels each orbit by its minimal
 point, so a running count of the minima numbers the orbits in O(N), without
-a sort; the per-orbit point lists are built only when read.  Ergodicity of
-a finite factor model means transitivity, and the ergodic decomposition is
-the uniform measure on each orbit.
+a sort.  Ergodicity of a finite factor model means transitivity, and the
+ergodic decomposition is the uniform measure on each orbit.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -413,25 +412,11 @@ class OrbitDecomposition:
     """Orbits of a factor action: the finite ergodic decomposition.
 
     Orbits are numbered by increasing minimal point; orbit_id maps each point
-    to its orbit's number and sizes[o] counts the points of orbit o.  The
-    per-orbit point arrays, ``orbits``, are listed on first read: along
-    ``order`` when a listing was given (a single generator's cycle listing),
-    otherwise by increasing point.
+    to its orbit's number and sizes[o] counts the points of orbit o.
     """
 
     orbit_id: np.ndarray
     sizes: np.ndarray
-    order: np.ndarray | None = field(default=None, repr=False)
-    _orbits: list[np.ndarray] | None = field(default=None, init=False, repr=False)
-
-    @property
-    def orbits(self) -> list[np.ndarray]:
-        if self._orbits is None:
-            order = self.order
-            if order is None:
-                order = np.argsort(self.orbit_id, kind="stable")
-            self._orbits = np.split(order, np.cumsum(self.sizes)[:-1])
-        return self._orbits
 
     @property
     def n_orbits(self) -> int:
@@ -458,7 +443,7 @@ def _orbits_of_minima(label: np.ndarray) -> OrbitDecomposition:
 def _decompose(space: FiniteSpace, charts: Sequence[CycleChart]) -> OrbitDecomposition:
     if len(charts) == 1:
         chart = charts[0]
-        return OrbitDecomposition(chart.cycle_of, chart.cycle_len, order=chart.order)
+        return OrbitDecomposition(chart.cycle_of, chart.cycle_len)
     # vectorized label propagation: spread the minimum label along every
     # generator's cycles until nothing changes; the fixpoint labels each
     # orbit by its minimal point.  A visit leaves the labels constant on the

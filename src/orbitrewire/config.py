@@ -53,6 +53,13 @@ def _integer(value, what: str) -> int:
         raise ConfigError(f"{what} takes integers, got {value!r}") from exc
 
 
+def _integers(values, what: str) -> list[int]:
+    """A JSON array of integers, never a string or an object read as one."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{what} takes a list of integers, got {values!r}")
+    return [_integer(v, what) for v in values]
+
+
 def rational_to_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator, "approx": float(x)}
 
@@ -82,6 +89,8 @@ class RunConfig:
         n = d["space_size"]
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ConfigError(f"space_size must be a positive integer, got {n!r}")
+        if n >= 2**31:  # the cycle charts' limit
+            raise ConfigError(f"space_size must be below 2**31, got {n}")
         eps = parse_rational(d["epsilon"], "epsilon")
         if not 0 < eps < 1:
             raise ConfigError(f"epsilon must lie strictly between 0 and 1, got {eps}")
@@ -96,13 +105,10 @@ class RunConfig:
         if len(alpha) != len(beta):
             raise ConfigError("alpha and beta must have the same number of factors")
         window = d["window"]
-        if not isinstance(window, list) or len(window) != len(alpha):
+        if not isinstance(window, list) or len(window) != len(alpha) or not all(
+                isinstance(per_factor, list) for per_factor in window):
             raise ConfigError("window must list element coordinates per factor")
-        try:
-            window = [[[_integer(c, "window") for c in coords] for coords in per_factor]
-                      for per_factor in window]
-        except TypeError as exc:
-            raise ConfigError(f"window must list coordinate rows per factor: {exc}") from exc
+        window = [[_integers(coords, "window") for coords in per_factor] for per_factor in window]
         if any(not -2**63 <= c < 2**63 for per_factor in window
                for coords in per_factor for c in coords):
             raise ConfigError("window coordinates must fit in int64")

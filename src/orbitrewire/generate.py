@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .actions import CycleChart, FactorAction, FreeProductSystem
-from .config import _integer
+from .config import _integer, _integers
 from .errors import ConfigError
 from .groups import AbelianElement, AbelianGroupSpec
 from .space import FiniteSpace, Permutation, PointSet
@@ -106,10 +106,6 @@ def _explicit(space: FiniteSpace, rank: int, torsion: list[int],
     return FactorAction(spec, space, gens)
 
 
-def _integers(template: dict, key: str) -> list[int]:
-    return [_integer(v, key) for v in template[key]]
-
-
 def generate_factor(space: FiniteSpace, template: dict) -> FactorAction:
     """Build one factor action from a template description."""
     if not isinstance(template, dict) or "name" not in template:
@@ -120,15 +116,15 @@ def generate_factor(space: FiniteSpace, template: dict) -> FactorAction:
             return _rotation(space, _integer(template["step"], "step"))
         if name in ("grid_shift", "product_cycle"):
             build = _grid_shift if name == "grid_shift" else _product_cycle
-            return build(space, _integers(template, "dims"),
-                         _integers(template, "steps") if "steps" in template else None)
+            return build(space, _integers(template["dims"], "dims"),
+                         _integers(template["steps"], "steps") if "steps" in template else None)
         if name == "explicit":
             return _explicit(space, _integer(template.get("rank", 0), "rank"),
-                             [_integer(c, "torsion") for c in template.get("torsion", [])],
+                             _integers(template.get("torsion", []), "torsion"),
                              template["arrays"])
     except ConfigError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid {name!r} template: {exc}") from exc
     raise ConfigError(f"unknown factor template {name!r}")
 
@@ -176,13 +172,13 @@ def make_target_set(space: FiniteSpace, desc: dict) -> PointSet:
             mod = _integer(desc["modulus"], "modulus")
             if mod < 1:
                 raise ConfigError("modulus must be positive")
-            residues = sorted({r % mod for r in _integers(desc, "residues")})
+            residues = sorted({r % mod for r in _integers(desc["residues"], "residues")})
             mask = np.isin(np.arange(n, dtype=np.int64) % mod, residues)
             return PointSet(space, mask)
         if kind == "indices":
-            return PointSet.from_indices(space, _integers(desc, "members"))
+            return PointSet.from_indices(space, _integers(desc["members"], "members"))
     except ConfigError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:  # beyond int64
         raise ConfigError(f"invalid {kind!r} target set: {exc}") from exc
     raise ConfigError(f"unknown target set type {kind!r}")

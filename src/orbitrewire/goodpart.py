@@ -6,10 +6,11 @@ factor stays within 2*eps of the target (sup norm), with the exceptional mass
 below eps per factor.  The construction is randomized: i.i.d. labels from the
 target, then a minimal exact-count rebalance that prefers moving labels out
 of (into) orbits already over (under) their quota, then exact verification
-with seed-incrementing retries.  Either the returned labeling certifiably
-satisfies the conclusion or the operation fails loudly; long orbits make
-success overwhelmingly likely, many short orbits make honest failure the
-expected outcome.
+with seed-incrementing retries: ``verify_good_partition`` measures each
+factor's bad mass and ``certify.bad_mass_ok`` holds it to its bound.
+Either the returned labeling certifiably satisfies the conclusion or the
+operation fails loudly; long orbits make success overwhelmingly likely, many
+short orbits make honest failure the expected outcome.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import certify
 from .actions import FreeProductSystem
 from .errors import ExactRangeExceeded, InfeasibleTarget, VerificationFailed
 from .space import Distribution, Labeling, exact_fraction
@@ -33,22 +35,14 @@ class FactorBadness:
     # aggregated mass per distinct per-orbit sup deviation, sorted by deviation
     histogram: list[tuple[Fraction, Fraction]]
 
-    def ok(self, eps: Fraction) -> bool:
-        return self.bad_mass < eps
-
 
 @dataclass
 class GoodPartitionReport:
     per_factor: list[FactorBadness]
-    eps: Fraction
 
     @property
     def max_bad_mass(self) -> Fraction:
         return max((fb.bad_mass for fb in self.per_factor), default=Fraction(0))
-
-    @property
-    def ok(self) -> bool:
-        return all(fb.ok(self.eps) for fb in self.per_factor)
 
 
 def _check_exact_range(eps: Fraction, n: int, den: int = 1) -> None:
@@ -80,7 +74,6 @@ def verify_good_partition(s: FreeProductSystem, psi: Labeling, pi: Distribution,
     _check_exact_range(eps, n, d)
     scaled = np.array([m.numerator * (d // m.denominator) for m in masses], dtype=np.int64)
     k_sym = len(masses)
-    enum, eden = eps.numerator, eps.denominator
     per_factor = []
     for f in s.factors:
         od = f.orbits()
@@ -89,8 +82,7 @@ def verify_good_partition(s: FreeProductSystem, psi: Labeling, pi: Distribution,
         ).reshape(od.n_orbits, k_sym)
         sizes = od.sizes
         dev = np.abs(counts * d - sizes[:, None] * scaled).max(axis=1)
-        # dev/(L d) > 2 eps  <=>  dev * eden > 2 enum L d
-        bad = dev * eden > 2 * enum * sizes * d
+        bad = certify.orbit_far(dev, sizes, d, eps)
         bad_mass = Fraction(int(sizes[bad].sum()), n)
         pairs, which = np.unique(np.stack([dev, sizes], axis=1), axis=0, return_inverse=True)
         orbits = np.bincount(which.reshape(-1), minlength=len(pairs))
@@ -99,7 +91,7 @@ def verify_good_partition(s: FreeProductSystem, psi: Labeling, pi: Distribution,
             key = Fraction(dv, size * d)
             hist[key] = hist.get(key, Fraction(0)) + Fraction(count * size, n)
         per_factor.append(FactorBadness(bad_mass, sorted(hist.items())))
-    return GoodPartitionReport(per_factor, eps)
+    return GoodPartitionReport(per_factor)
 
 
 def _targets(pi: Distribution, n: int) -> list[int]:
@@ -187,7 +179,6 @@ def good_partition(s: FreeProductSystem, pi: Distribution, eps, seed: int,
         return psi, verify_good_partition(s, psi, pi, eps), 0
     cum = np.cumsum([float(pi.mass(a)) for a in alphabet])
     cum[-1] = 1.0
-    last_report = None
     for attempt in range(max_retries + 1):
         rng = np.random.default_rng(seed + attempt)
         draws = rng.random(n)
@@ -198,11 +189,10 @@ def good_partition(s: FreeProductSystem, pi: Distribution, eps, seed: int,
             raise VerificationFailed("internal error: rebalance missed exact counts")
         psi = Labeling(s.space, alphabet, codes)
         report = verify_good_partition(s, psi, pi, eps)
-        if report.ok:
+        if all(certify.bad_mass_ok(fb.bad_mass, eps) for fb in report.per_factor):
             return psi, report, attempt
-        last_report = report
     raise VerificationFailed(
         f"good partition failed after {max_retries} retries; "
-        f"worst factor bad mass {last_report.max_bad_mass} >= {eps}",
-        report=last_report,
+        f"worst factor bad mass {report.max_bad_mass} >= {eps}",
+        report=report,
     )

@@ -14,36 +14,23 @@ weakly close to ``beta`` on a requested family of group elements and sets:
    bases into equal-mass columns, match tile elements of equal label within
    each column, and build the rewiring S_i that moves each column's levels
    by its matching;
-5. certify, with exact arithmetic, the three-part mass budget that bounds the
-   final discrepancy, re-verify the weak discrepancy from scratch, and check
-   the orbit partition equality factor by factor: gamma's partition is the
-   join of its factors', so it is R's image of alpha's once every S_i keeps
-   the orbits of alpha'_i (``verify_orbit_equivalence``; only a rewiring
-   that leaves them sends the check to the full partitions).
+5. measure the three-part mass budget that bounds the final discrepancy,
+   the weak discrepancy from scratch, and the orbit partition factor by
+   factor: gamma's partition is the join of its factors', so it is R's image
+   of alpha's once every S_i keeps the orbits of alpha'_i
+   (``verify_orbit_equivalence``).
 
-Every inequality asserted here is the exact finite form of the corresponding
-step bound, certified once, by the stage that makes it; violations raise
-coded errors instead of degrading silently.  Base windows within 3 eps'
-follow from ``rohlin_avoiding``'s bases missing the bad set (see
-``_GoodSetEvaluator``), and each sigma is a bijection as S is.
+Every bound a stage accepts its decision by is stated once, in ``certify``,
+and called as that stage's acceptance test; a violation raises its error.
 
 The tile search reads each factor's orbits as ``rohlin.orbit_alignment``
 gives them, grouped by shape into C x d_0 x ... x d_{m-1} point arrays: the
 candidate sides come from the shapes' dimensions, the coverage prefilter
 counts boxes per shape, and the good-set evaluator turns each shape into one
 ``_OrbitBlock`` of prefix sums.  A factor with an orbit that is not a
-product of its generator cycles is evaluated in point order instead.
-
-A tower is its level array (``rohlin.Tower.levels``), built once when the
-tower is erected; its base is the identity's level, the base points in
-increasing order, and no point mask of the base is kept.
-``rohlin.tiling_base`` returns the tower it certified, and
-``rohlin_avoiding`` reads W's levels from it, the shifted copy of W among
-them.  The columns (``ColumnData``) are arrays over it: both bases listed
-column by column, the alpha levels in that listing, and one row of |T|
-entries per column for the names, the matching and the matched set.  The
-rewiring reads those levels, and the budget takes S_i of them as gamma_i's:
-no rewired action is built.
+product of its generator cycles is evaluated in point order instead.  The
+rewiring reads the columns' levels (``ColumnData``), and the budget takes S_i
+of them as gamma_i's: no rewired action is built.
 """
 
 from __future__ import annotations
@@ -55,15 +42,13 @@ from typing import Sequence
 
 import numpy as np
 
+from . import certify
 from .actions import FactorAction, FreeProductSystem, compose_letters, weak_discrepancy
 from .errors import (
     BaseSizeMismatch,
     BudgetExceeded,
-    BudgetViolated,
     ConfigError,
     CoverageBelowFloor,
-    DefectBoundViolated,
-    FinalDiscrepancyExceeded,
     LevelOverlap,
     NoGoodTile,
     OrbitRewireError,
@@ -73,7 +58,7 @@ from .errors import (
     VerificationFailed,
 )
 from .goodpart import _check_exact_range, good_partition
-from .groups import DEFAULT_TILE_CAP, AbelianElement, FreeWord, Tile, box_tile, invariance_defect
+from .groups import DEFAULT_TILE_CAP, AbelianElement, FreeWord, Tile, box_tile
 from .rohlin import Tower, max_aligned_coverage, orbit_alignment, rohlin_avoiding
 from .space import (
     MAX_GENERATING_SETS,
@@ -244,9 +229,9 @@ class _GoodSetEvaluator:
         self.eps = eps
         self.kind = kind  # "rewired" (orbit-relative) or "target" (global)
         self.n = n = f.space.n_points
+        self.max_bad = certify.max_bad_points(eps, n)
         self.k_sym = k_sym = len(phi.alphabet)
         self.counts = np.bincount(phi.codes, minlength=k_sym).tolist()
-        enum, eden = eps.numerator, eps.denominator
         alignment = orbit_alignment(f)
         if not alignment.unaligned.size:
             # the subsample screen reads every stride-th position of each line
@@ -258,8 +243,8 @@ class _GoodSetEvaluator:
                     # orbit-vs-global failures are tile-independent
                     size = blk.size
                     for a, count in enumerate(blk.counts):
-                        blk.fixed |= np.abs(count * n - self.counts[a] * size) * eden \
-                            > 2 * enum * size * n
+                        blk.fixed |= certify.orbit_far(
+                            np.abs(count * n - self.counts[a] * size), size, n, eps)
                 self.blocks.append(blk)
             self.n_fixed = sum(int(np.count_nonzero(b.fixed)) * b.size for b in self.blocks)
         else:
@@ -272,14 +257,13 @@ class _GoodSetEvaluator:
                 for a in range(k_sym):
                     c_orb = np.bincount(od.orbit_id[phi.codes == a], minlength=od.n_orbits)
                     self.orbit_counts.append(c_orb)
-                    orb_bad = np.abs(c_orb * n - self.counts[a] * od.sizes) * eden \
-                        > 2 * enum * od.sizes * n
-                    self.fixed_bad |= orb_bad[od.orbit_id]
+                    far = certify.orbit_far(
+                        np.abs(c_orb * n - self.counts[a] * od.sizes), od.sizes, n, eps)
+                    self.fixed_bad |= far[od.orbit_id]
             self.n_fixed = int(np.count_nonzero(self.fixed_bad))
 
     def _too_bad(self, n_bad: int) -> bool:
-        # good mass > 1 - 2 eps  <=>  bad_count * eden < 2 * enum * n
-        return n_bad * self.eps.denominator >= 2 * self.eps.numerator * self.n
+        return n_bad > self.max_bad
 
     def _far(self, w: np.ndarray, count, size, tsz: int, slack: int = 1) -> np.ndarray:
         """Windows w off the mass count/size by more than slack*eps,
@@ -355,10 +339,10 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
     1/eps' elements, can reach tiling coverage above 1 - 4*eps' on both
     actions, and whose good sets both have mass above 1 - 2*eps'.  The towers
     avoid the union of bad points and get equal base sizes by trimming.
-    Invariance and size are checked here, the good masses by the evaluator,
-    and each side's coverage and base clear of the bad set by
-    ``rohlin_avoiding``; trimming keeps the smaller coverage.  On a small
-    model with unaligned orbits, where candidates may skip the
+    Every bound is ``certify``'s: the size and invariance are its family 2,
+    the evaluator's threshold its family 3, and ``rohlin_avoiding``'s tiling
+    floor and ``certify_pair`` on the trimmed towers its family 4.  On a
+    small model with unaligned orbits, where candidates may skip the
     coverage prefilter, a side whose towers fall short of their coverage
     floor (``CoverageBelowFloor``) is passed over; elsewhere that shortfall
     ends the search, as every other error of the Rohlin stage does.
@@ -371,8 +355,9 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
     torsion_size = 1
     for c in spec.torsion_moduli:
         torsion_size *= c
-    enum, eden = eps.numerator, eps.denominator
-    floor_w = 1 - 4 * eps  # tiling stage floor inside rohlin_avoiding
+    rohlin_eps = certify.tower_mass(eps)
+    floor_w = certify.tiling_floor(rohlin_eps)
+    min_size = certify.min_tile_size(eps)
     n = alpha_i.space.n_points
 
     def _divisors(m: int) -> list[int]:
@@ -399,7 +384,7 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
         cand: set[int] = set()
         for length in lengths:
             cand.update(s for s in _divisors(length) if s >= 2)
-            lo_band = max(2, int((1 - 4 * eps) * length) + 1)
+            lo_band = max(2, int(floor_w * length) + 1)
             cand.update(range(lo_band, length + 1))
         return sorted(cand)
 
@@ -422,10 +407,10 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
         size = (side ** r) * torsion_size
         if size > tile_cap:
             break
-        if size * enum <= eden:  # need |T| > 1/eps'
+        if size < min_size:
             continue
         tile = box_tile(spec, (0,) * r, (side - 1,) * r, cap=tile_cap)
-        if not all(invariance_defect(tile, g) < eps for g in window):
+        if not certify.invariant(tile, window, eps):
             continue
         cov_a = max_aligned_coverage(alpha_i, tile.sides, size)
         cov_b = max_aligned_coverage(beta_i, tile.sides, size)
@@ -441,8 +426,10 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
         gb, mass_b = res_b
         avoid = PointSet(alpha_i.space, ~(ga & gb))
         try:
-            tw_a = rohlin_avoiding(alpha_i, tile, 8 * eps, avoid)
-            tw_b = rohlin_avoiding(beta_i, tile, 8 * eps, avoid)
+            tw_a = rohlin_avoiding(alpha_i, tile, rohlin_eps, avoid)
+            tw_b = rohlin_avoiding(beta_i, tile, rohlin_eps, avoid)
+            tw_a, tw_b = equalize_bases(tw_a, tw_b)
+            coverages = certify.certify_pair(tw_a, tw_b, avoid, rohlin_eps)
         except CoverageBelowFloor:
             # a small model's candidate may have skipped the coverage
             # prefilter, so its shortfall rules out only this side; a refused
@@ -450,7 +437,6 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
             if not small_model:
                 raise
             continue
-        tw_a, tw_b = equalize_bases(tw_a, tw_b)
         return TowerPairResult(
             tower_alpha=tw_a,
             tower_beta=tw_b,
@@ -459,8 +445,8 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
             good_mass_alpha=mass_a,
             good_mass_beta=mass_b,
             avoid_mass=measure(avoid),
-            coverage_alpha=Fraction(tile.size * tw_a.base.size, n),
-            coverage_beta=Fraction(tile.size * tw_b.base.size, n),
+            coverage_alpha=coverages[0],
+            coverage_beta=coverages[1],
             base_size=tw_a.base.size,
         )
     raise NoGoodTile(
@@ -483,9 +469,9 @@ class ColumnData:
     gives the column of each listed point, and ``levels`` is the alpha
     tower's |T| x |B| level array in that listing.  Per-column data are
     n_cols x |T| rows: the tile names ``name_alpha`` and ``name_beta``, and,
-    once ``tile_matching`` has run, the matching ``sigma`` and the matched
-    tile elements ``matched`` (the set T_s).  ``per_point`` lays a row array
-    out like ``levels``.
+    once ``tile_matching`` has run, the matching ``sigma``, the matched tile
+    elements ``matched`` (the set T_s) and the certified column ``defects``
+    |T \\ T_s|.  ``per_point`` lays a row array out like ``levels``.
     """
 
     tile: Tile
@@ -498,6 +484,7 @@ class ColumnData:
     name_beta: np.ndarray
     sigma: np.ndarray | None = None
     matched: np.ndarray | None = None
+    defects: np.ndarray | None = None
 
     @property
     def n_columns(self) -> int:
@@ -553,17 +540,14 @@ def tile_matching(cd: ColumnData, eps_prime) -> ColumnData:
     that sends target-name positions onto equal rewired-name positions.
 
     Greedy per symbol in canonical tile order; leftovers complete the
-    bijection arbitrarily (canonical order).  The matched set per column must
-    miss fewer than 7 * eps' * |alphabet| * |T| tile elements, exactly; the
-    rows are written to ``cd`` before that bound is checked.
+    bijection arbitrarily (canonical order).  The rows are written to ``cd``
+    before ``certify.column_defects`` checks each column's defect against
+    7 * eps' * |alphabet| * |T|.
     """
-    eps = exact_fraction(eps_prime)
     tile = cd.tile
-    tsz = tile.size
     e_idx = tile.identity_index
     k_sym = cd.alphabet_size
-    enum, eden = eps.numerator, eps.denominator
-    sigma = np.full((cd.n_columns, tsz), -1, dtype=np.int64)
+    sigma = np.full((cd.n_columns, tile.size), -1, dtype=np.int64)
     for row, na, nb in zip(sigma, cd.name_alpha, cd.name_beta):
         row[e_idx] = e_idx
         leftovers_b: list[np.ndarray] = []
@@ -580,23 +564,10 @@ def tile_matching(cd: ColumnData, eps_prime) -> ColumnData:
             leftovers_a.append(as_[m:])
         lb = np.sort(np.concatenate(leftovers_b))
         la = np.sort(np.concatenate(leftovers_a))
-        if len(lb) != len(la):  # pragma: no cover - cannot happen, both count T-1-matched
-            raise DefectBoundViolated("internal error: leftover sides differ")
-        row[lb] = la
+        row[lb] = la  # both count the |T| - 1 - matched unmatched positions
     cd.sigma = sigma
     cd.matched = np.take_along_axis(cd.name_alpha, sigma, 1) == cd.name_beta
-    defects = tsz - np.count_nonzero(cd.matched, axis=1)
-    # exact bound: defect < 7 eps' |A| |T|, i.e. defect <= (7 enum |A| |T| - 1) // eden
-    failing = np.flatnonzero(defects > (7 * enum * k_sym * tsz - 1) // eden)
-    if failing.size:
-        s = int(failing[0])
-        defect = int(defects[s])
-        raise DefectBoundViolated(
-            f"column {s}: |T \\ T_s| = {defect} not below "
-            f"7*eps'*|A|*|T| = {Fraction(7 * enum * k_sym * tsz, eden)}",
-            column=s,
-            defect=defect,
-        )
+    cd.defects = certify.column_defects(cd, exact_fraction(eps_prime))
     return cd
 
 
@@ -633,37 +604,6 @@ def build_rewiring(alpha_i: FactorAction, cd: ColumnData) -> Permutation:
 # budget certification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ElementBudget:
-    element: tuple[int, ...]
-    l0: Fraction
-    l1: Fraction
-    l2: Fraction
-    bound_l0: Fraction
-    bound_l1: Fraction
-    bound_l2: Fraction
-    discrepancies: list[Fraction]
-    residual_empty: bool
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.l0 < self.bound_l0
-            and self.l1 < self.bound_l1
-            and self.l2 < self.bound_l2
-            and self.residual_empty
-        )
-
-
-@dataclass
-class BudgetReport:
-    per_element: list[ElementBudget]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.per_element)
-
-
 def _loss_masks(n: int, tile: Tile, levels: np.ndarray, matched: np.ndarray,
                 g: AbelianElement) -> tuple[np.ndarray, np.ndarray]:
     """The L1 and L2 point masks of one window element g.
@@ -685,8 +625,9 @@ def _loss_masks(n: int, tile: Tile, levels: np.ndarray, matched: np.ndarray,
 def discrepancy_budget(alpha_i: FactorAction, t: Permutation, levels: np.ndarray,
                        beta_i: FactorAction, cd: ColumnData,
                        window: Sequence[AbelianElement], sets: Sequence[PointSet],
-                       eps_prime, phi: Labeling) -> BudgetReport:
-    """Exact masses of the three discrepancy sources, per window element.
+                       eps_prime, phi: Labeling) -> certify.BudgetReport:
+    """Exact masses of the three discrepancy sources, per window element,
+    held to their bounds by ``certify.budget``.
 
     gamma_i = T alpha_i T^-1 with T = S o R (``t``) is read through alpha's
     own factor ``alpha_i``: each letter is alpha_i's, conjugated by T.
@@ -697,37 +638,22 @@ def discrepancy_budget(alpha_i: FactorAction, t: Permutation, levels: np.ndarray
     L0 is the tower complement, L1 the levels lost to tile shift, L2 the
     levels of unmatched tile positions; off their union the rewired and
     target actions move every target set identically, and that emptiness is
-    checked pointwise along with the name-transport equivalence on every
+    measured pointwise along with the name-transport equivalence on every
     matched level.
     """
-    eps = exact_fraction(eps_prime)
     tile = cd.tile
     n = alpha_i.space.n_points
-    k_sym = cd.alphabet_size
     matched = cd.per_point(cd.matched)
     l0_mask = np.ones(n, dtype=bool)
     l0_mask[levels] = False
     l0 = Fraction(int(np.count_nonzero(l0_mask)), n)
-    bound_l0 = 8 * eps
-    if not l0 < bound_l0:
-        raise BudgetViolated(f"tower complement mass {l0} not below {bound_l0}")
     # name-transport equivalence on matched positions: the rewired level of a
     # column sits inside the cell the target-side name promises
     promised = cd.per_point(cd.name_beta)
-    if np.any(phi.codes[levels[matched]] != promised[matched]):
-        raise BudgetViolated("matched level lands outside the target-side name cell")
-    report = BudgetReport([])
+    transport_ok = not np.any(phi.codes[levels[matched]] != promised[matched])
+    elements = []
     for g in window:
         l1_mask, l2_mask = _loss_masks(n, tile, levels, matched, g)
-        l1 = Fraction(int(np.count_nonzero(l1_mask)), n)
-        l2 = Fraction(int(np.count_nonzero(l2_mask)), n)
-        base_mass = Fraction(len(cd.q_alpha), n)
-        bound_l1_tight = eps * tile.size * base_mass  # <= eps: disjoint levels
-        if not (l1 < bound_l1_tight or l1 == 0):
-            raise BudgetViolated(f"shift-loss mass {l1} not below {bound_l1_tight}")
-        bound_l2 = 15 * k_sym * eps
-        if not l2 < bound_l2:
-            raise BudgetViolated(f"unmatched-level mass {l2} not below {bound_l2}")
         excluded = l0_mask | l1_mask | l2_mask
         discrepancies = []
         residual_empty = True
@@ -738,25 +664,11 @@ def discrepancy_budget(alpha_i: FactorAction, t: Permutation, levels: np.ndarray
             discrepancies.append(Fraction(int(np.count_nonzero(d_mask)), n))
             if np.any(d_mask & ~excluded):
                 residual_empty = False
-        if not residual_empty:
-            raise BudgetViolated(
-                "discrepancy outside L0 | L1 | L2 for element "
-                f"{g.coords}; the construction is inconsistent"
-            )
-        report.per_element.append(
-            ElementBudget(
-                element=g.coords,
-                l0=l0,
-                l1=l1,
-                l2=l2,
-                bound_l0=bound_l0,
-                bound_l1=eps,
-                bound_l2=bound_l2,
-                discrepancies=discrepancies,
-                residual_empty=residual_empty,
-            )
-        )
-    return report
+        elements.append((g.coords, Fraction(int(np.count_nonzero(l1_mask)), n),
+                         Fraction(int(np.count_nonzero(l2_mask)), n),
+                         discrepancies, residual_empty))
+    return certify.budget(l0, transport_ok, elements, exact_fraction(eps_prime),
+                          cd.alphabet_size, tile.size, len(cd.q_alpha), n)
 
 
 # ---------------------------------------------------------------------------
@@ -973,7 +885,7 @@ class FactorStageReport:
     column_defects: list[int]
     max_defect: int
     defect_bound: Fraction
-    budget: BudgetReport
+    budget: certify.BudgetReport
 
 
 @dataclass
@@ -1001,7 +913,7 @@ def min_space_estimate(eps_prime: Fraction,
     sides beyond 2*|g|/eps' per coordinate, so every aligned orbit dimension
     (hence the space) must be at least this large.
     """
-    need = int(1 / eps_prime) + 1
+    need = certify.min_tile_size(eps_prime)
     for elems in window:
         for g in elems:
             for v in g.free:
@@ -1015,28 +927,6 @@ class PipelineResult:
     report: PipelineReport
     phi: Labeling
     psi: Labeling
-
-
-def letters_by_factor(words: Sequence[FreeWord], k: int) -> list[list[AbelianElement]]:
-    """Collect the distinct letters of the words, grouped per factor."""
-    seen: list[dict[tuple[int, ...], AbelianElement]] = [dict() for _ in range(k)]
-    for w in words:
-        for i, g in w.letters:
-            if i >= k:
-                raise SpecMismatch(f"word references factor {i}, system has {k}")
-            seen[i].setdefault(g.coords, g)
-    return [[d[c] for c in sorted(d)] for d in seen]
-
-
-def reduce_words_to_letters(words: Sequence[FreeWord], k: int, eps) -> tuple[list[list[AbelianElement]], Fraction]:
-    """Per-letter window and budget for running the pipeline on general words.
-
-    Splitting a word bound across its letters (the composition inequality)
-    means a per-letter budget of eps / max word length suffices.
-    """
-    eps = exact_fraction(eps)
-    max_len = max((len(w) for w in words), default=1)
-    return letters_by_factor(words, k), eps / max(max_len, 1)
 
 
 def _stage(name: str):
@@ -1061,10 +951,10 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
     """Produce gamma orbit-equivalent to alpha and weakly eps-close to beta.
 
     ``window`` gives, per factor, the group elements on which closeness is
-    required (callers with general words reduce them first, see
-    ``reduce_words_to_letters``).  The returned witness carries the
-    conjugator and the per-factor rewirings that gamma is built from; the
-    report carries every certified mass and the verified orbit check.
+    required; only these letters are certified, not the words they make.
+    The returned witness carries the conjugator and the per-factor rewirings
+    that gamma is built from; the report carries every certified mass and
+    the verified orbit check.
     """
     eps = exact_fraction(eps)
     if not 0 < eps < 1:
@@ -1135,7 +1025,6 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
                                         beta.factors[i], cd, window[i], sets, eps_prime, phi)
         rewirings.append(s_perm)
         moves.append(t_perm)
-        defects = pair.tile.size - np.count_nonzero(cd.matched, axis=1)
         factor_reports.append(
             FactorStageReport(
                 factor_index=i,
@@ -1148,9 +1037,9 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
                 coverage_beta=pair.coverage_beta,
                 base_size=pair.base_size,
                 column_count=cd.n_columns,
-                column_defects=defects.tolist(),
-                max_defect=int(defects.max(initial=0)),
-                defect_bound=7 * eps_prime * k_sym * pair.tile.size,
+                column_defects=cd.defects.tolist(),
+                max_defect=int(cd.defects.max(initial=0)),
+                defect_bound=certify.defect_bound(eps_prime, k_sym, pair.tile.size),
                 budget=budget,
             )
         )
@@ -1162,13 +1051,9 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
         ]
         final = (weak_discrepancy(GammaWords(alpha, moves), beta, words, sets)
                  if words and sets else Fraction(0))
-        if not final < eps:
-            raise FinalDiscrepancyExceeded(
-                f"end-to-end discrepancy {final} not below {eps}"
-            )
+        certify.final_discrepancy(final, eps)
         ok, diag = verify_orbit_equivalence(alpha, witness)
-        if not ok:
-            raise VerificationFailed(f"orbit partitions differ: {diag}")
+        certify.orbit_equivalence(ok, diag)
 
     report = PipelineReport(
         eps=eps,

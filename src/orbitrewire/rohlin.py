@@ -16,16 +16,13 @@ dimensions the sides divide are covered exactly; a literal greedy sweep
 handles the remaining orbits, reporting achieved coverage honestly.  It
 returns the ``Tower`` it certified.
 
-A ``Tower`` is its level array alone: the base is the identity's level, the
-base points in increasing order, and no point mask of it is kept.
-
 ``rohlin_avoiding`` upgrades a base to one avoiding a given small set: among
 all tile shifts of W, which are the level rows of W's tower, it picks the
 one meeting the avoidance set least (first minimizer in canonical tile
 order) and removes the intersection.  Commutativity keeps the shifted
 family disjoint; the mass bookkeeping gives coverage > 1 - eps whenever the
-avoidance set has mass < eps/2.  The ``Tower`` it returns is the one the
-later stages read.
+avoidance set has mass < eps/2; both floors and the base's avoidance are
+``certify``'s.  The ``Tower`` it returns is the one the later stages read.
 """
 
 from __future__ import annotations
@@ -36,8 +33,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import certify
 from .actions import FactorAction
-from .errors import CoverageBelowFloor, CoverageShortfall, HypothesisViolated, TileTooLarge
+from .errors import CoverageShortfall, HypothesisViolated, TileTooLarge
 from .groups import Tile
 from .space import PointSet, exact_fraction, measure
 
@@ -219,26 +217,19 @@ class Tower:
 class TowerReport:
     disjoint: bool
     coverage: Fraction
-    base_size: int
-    level_count: int
     avoid_clear: bool | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.disjoint and (self.avoid_clear is not False)
 
 
 def rohlin_avoiding(f: FactorAction, t: Tile, eps, avoid: PointSet) -> Tower:
     """Tower with disjoint levels, coverage > 1 - eps, and base disjoint
     from ``avoid``.
 
-    Requires mass(avoid) < eps/2.  Stage one builds a plain tiling base W at
-    coverage > 1 - eps/2; stage two shifts W by the tile element whose level
-    meets ``avoid`` least (first minimizer in canonical tile order), which
-    is that level of W's tower, and removes the leftover intersection.  Each
-    bound has one check: W's levels in ``tiling_base``, the rest here;
-    ``tower_pair`` avoids its bad set, so the base check puts every base
-    window within 3 eps'.
+    Requires mass(avoid) < eps/2.  Stage one builds a plain tiling base W,
+    whose coverage ``certify.coverage`` holds above 1 - eps/2; stage two
+    shifts W by the tile element whose level meets ``avoid`` least (first
+    minimizer in canonical tile order), which is that level of W's tower,
+    and removes the leftover intersection.  ``certify.certify_pair`` holds
+    the coverage and the base of both towers ``tower_pair`` builds.
     """
     eps = exact_fraction(eps)
     if measure(avoid) >= eps / 2:
@@ -246,28 +237,14 @@ def rohlin_avoiding(f: FactorAction, t: Tile, eps, avoid: PointSet) -> Tower:
             f"avoidance set has mass {measure(avoid)} >= eps/2 = {eps / 2}"
         )
     n = f.space.n_points
-    floor = 1 - eps / 2
     w = tiling_base(f, t)
-    # tiling_base certified the levels of W disjoint, so they cover |T||W|
-    coverage = Fraction(w.levels.size, n)
-    if coverage <= floor:
-        raise CoverageBelowFloor(
-            f"tiling base coverage {coverage} not strictly above {floor}"
-        )
+    certify.coverage(w, n, certify.tiling_floor(eps), "tiling base")
     # per tile element, how much its copy of W meets the avoidance set
     hits = np.count_nonzero(avoid.mask[w.levels], axis=1)
     shifted = w.levels[int(np.argmin(hits))]
     tower = Tower.over(f, t, np.sort(shifted[~avoid.mask[shifted]]))
     if not tower_support(tower, n):
         raise CoverageShortfall("internal error: shifted base has overlapping levels")
-    # disjoint levels cover |T||B| points
-    coverage = Fraction(tower.levels.size, n)
-    if coverage <= 1 - eps:
-        raise CoverageBelowFloor(
-            f"tower coverage {coverage} not strictly above {1 - eps}"
-        )
-    if avoid.mask[tower.base].any():
-        raise HypothesisViolated("internal error: base meets the avoidance set")
     return tower
 
 
@@ -283,7 +260,5 @@ def verify_tower(tw: Tower, f: FactorAction, avoid: PointSet | None = None) -> T
     return TowerReport(
         disjoint=covered == levels.size,
         coverage=Fraction(covered, f.space.n_points),
-        base_size=tw.base.size,
-        level_count=tw.tile.size,
         avoid_clear=avoid_clear,
     )

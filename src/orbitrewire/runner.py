@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import certify
 from .actions import FreeProductSystem, freeness_defect, weak_discrepancy
 from .config import RunConfig, parse_rational, rational_to_json
 from .errors import ConfigError, VerificationFailed
@@ -175,7 +176,7 @@ def build_report(config: RunConfig, result: PipelineResult,
         "factors": factors,
         "final": {
             "weak_discrepancy": rational_to_json(rep.final_discrepancy),
-            "epsilon_ok": rep.final_discrepancy < rep.eps,
+            "epsilon_ok": certify.final_ok(rep.final_discrepancy, rep.eps),
             "orbit_equivalence": rep.orbit_check,
         },
         "witness": {
@@ -250,9 +251,7 @@ def _verify_report_payload(report: dict, config: RunConfig, space: FiniteSpace,
                               "final weak_discrepancy")
     final = (weak_discrepancy(witness.gamma_words(alpha), beta, words, sets)
              if words and sets else Fraction(0))
-    if final != reported:
-        return False
-    if not final < config.epsilon:
+    if final != reported or not certify.final_ok(final, config.epsilon):
         return False
     ok, _ = verify_orbit_equivalence(alpha, witness)
     return ok
@@ -297,33 +296,31 @@ def _reads_report(fn):
 
 @_reads_report
 def summary_rows(report: dict) -> list[list[str]]:
-    """Flat rows (component, factor, element, set, value, bound, ok) for CSV."""
+    """Flat rows (component, factor, element, set, value, bound, ok) for CSV;
+    each ok is ``certify``'s predicate on the reported numbers."""
     rows = [["component", "factor", "element", "set", "value", "bound", "ok"]]
 
     def rat(d):
         return f"{d['num']}/{d['den']}"
 
+    eps_prime = parse_rational(report["eps_prime"])
     rows.append(["eps_prime", "", "", "", rat(report["eps_prime"]), "", ""])
     for i, m in enumerate(report["good_partition"]["bad_masses"]):
-        rows.append(["good_partition_bad_mass", str(i), "", "",
-                     rat(m), rat(report["eps_prime"]), str(
-                         Fraction(m["num"], m["den"]) < Fraction(report["eps_prime"]["num"],
-                                                                 report["eps_prime"]["den"]))])
+        rows.append(["good_partition_bad_mass", str(i), "", "", rat(m), rat(report["eps_prime"]),
+                     str(certify.bad_mass_ok(parse_rational(m), eps_prime))])
     for fr in report["factors"]:
         fi = str(fr["factor"])
         rows.append(["tile_size", fi, "", "", str(fr["tile_size"]), "", ""])
         rows.append(["base_size", fi, "", "", str(fr["base_size"]), "", ""])
         rows.append(["max_column_defect", fi, "", "", str(fr["max_column_defect"]),
-                     rat(fr["defect_bound"]),
-                     str(Fraction(fr["max_column_defect"]) < Fraction(
-                         fr["defect_bound"]["num"], fr["defect_bound"]["den"]))])
+                     rat(fr["defect_bound"]), str(certify.defects_ok(
+                         fr["max_column_defect"], parse_rational(fr["defect_bound"])))])
         for eb in fr["budget"]:
             el = str(tuple(eb["element"]))
             for name in ("l0", "l1", "l2"):
-                val = Fraction(eb[name]["num"], eb[name]["den"])
-                bnd = Fraction(eb["bound_" + name]["num"], eb["bound_" + name]["den"])
-                rows.append([name, fi, el, "", rat(eb[name]), rat(eb["bound_" + name]),
-                             str(val < bnd or (name == "l1" and val == 0))])
+                bound = eb["bound_" + name]
+                rows.append([name, fi, el, "", rat(eb[name]), rat(bound), str(certify.loss_ok(
+                    name, parse_rational(eb[name]), parse_rational(bound)))])
             for j, d in enumerate(eb["discrepancies"]):
                 rows.append(["element_discrepancy", fi, el, str(j), rat(d), "", ""])
             rows.append(["residual_empty", fi, el, "", str(eb["residual_empty"]),

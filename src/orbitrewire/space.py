@@ -10,7 +10,7 @@ to rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -213,10 +213,6 @@ class Permutation:
         mask[self.forward] = s.mask
         return PointSet(self.space, mask)
 
-    def preimage(self, s: PointSet) -> PointSet:
-        same_space(self, s)
-        return PointSet(self.space, s.mask[self.forward])
-
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(x) == self(other(x))."""
         same_space(self, other)
@@ -276,29 +272,14 @@ class Labeling:
     def constant(cls, space: FiniteSpace, symbol) -> "Labeling":
         return cls(space, (symbol,), np.zeros(space.n_points, dtype=np.int64))
 
-    @classmethod
-    def from_symbols(cls, space: FiniteSpace, symbols: Sequence, alphabet: Sequence | None = None) -> "Labeling":
-        if alphabet is None:
-            alphabet = tuple(sorted(set(symbols), key=repr))
-        code_of = {a: i for i, a in enumerate(alphabet)}
-        codes = np.array([code_of[s] for s in symbols], dtype=np.int64)
-        return cls(space, alphabet, codes)
-
     def code_of(self, symbol) -> int:
         return self._code_of[symbol]
 
     def cell(self, symbol) -> PointSet:
         return PointSet(self.space, self.codes == self._code_of[symbol])
 
-    def cells(self) -> Iterator[tuple[object, PointSet]]:
-        for i, a in enumerate(self.alphabet):
-            yield a, PointSet(self.space, self.codes == i)
-
     def cell_counts(self) -> np.ndarray:
         return np.bincount(self.codes, minlength=len(self.alphabet))
-
-    def codes_list(self) -> list[int]:
-        return [int(c) for c in self.codes]
 
     def __eq__(self, other) -> bool:
         return (
@@ -331,10 +312,6 @@ class Distribution:
     @classmethod
     def from_counts(cls, alphabet: Sequence, counts: Sequence[int], total: int) -> "Distribution":
         return cls(alphabet, {a: Fraction(int(c), total) for a, c in zip(alphabet, counts)})
-
-    @classmethod
-    def point_mass(cls, alphabet: Sequence, symbol) -> "Distribution":
-        return cls(alphabet, {a: Fraction(1 if a == symbol else 0) for a in alphabet})
 
     def mass(self, symbol) -> Fraction:
         return self.masses[symbol]

@@ -6,6 +6,7 @@ from orbitrewire import (
     FactorAction,
     FiniteSpace,
     FreeProductSystem,
+    Labeling,
     Permutation,
     PointSet,
 )
@@ -35,6 +36,11 @@ def rotation_system(space: FiniteSpace, *steps: int) -> FreeProductSystem:
 
 def pointset(space: FiniteSpace, *members: int) -> PointSet:
     return PointSet.from_indices(space, members)
+
+
+def labeling(space: FiniteSpace, symbols, alphabet) -> Labeling:
+    """The labeling that gives point x the symbol ``symbols[x]``."""
+    return Labeling(space, alphabet, [alphabet.index(s) for s in symbols])
 
 
 @pytest.fixture

@@ -67,6 +67,12 @@ def test_config_validation_errors():
     bad["seed"] = -5
     with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
         RunConfig.from_dict(bad)
+    # the cycle charts hold fewer than 2**31 points; the config is refused
+    # before any array of that size is allocated
+    bad = dict(BASE_CONFIG)
+    bad["space_size"] = 2**31
+    with pytest.raises(ConfigError, match="below 2"):
+        RunConfig.from_dict(bad)
 
 
 def test_generate_templates_validate():
@@ -204,6 +210,23 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
                        ("eps_prime_override", "2"), ("eps_prime_override", "1"),
                        ("eps_prime_override", "0"), ("seed", -5)):
         assert main(["run", str(write_config(tmp_path, {key: value}))]) == 2
+    # a string or an object where a list of integers belongs is refused, not
+    # read as the list of its characters or keys; so are indices, moduli and
+    # torsion orders beyond int64
+    grid = {"name": "grid_shift", "dims": [32, 64]}
+    for overrides in (
+            {"alpha": [grid, grid], "beta": [grid, grid],
+             "window": [["10", [0, 1]], [[1, 0]]]},
+            {"alpha": [dict(grid, steps="13"), grid], "beta": [grid, grid],
+             "window": [[[1, 0]], [[1, 0]]]},
+            {"target_sets": [{"type": "residue", "modulus": 4, "residues": "13"}]},
+            {"target_sets": [{"type": "indices", "members": {"1": 2}}]},
+            {"target_sets": [{"type": "indices", "members": [10**30]}]},
+            {"target_sets": [{"type": "residue", "modulus": 2**63, "residues": [0]}]},
+            {"alpha": [{"name": "explicit", "torsion": [2**70],
+                        "arrays": [list(range(1, 2048)) + [0]]},
+                       {"name": "rotation", "step": 3}]}):
+        assert main(["run", str(write_config(tmp_path, overrides))]) == 2
     # a negative seed is refused before generate writes the config, and by
     # run's --seed override
     gen = tmp_path / "negative-seed.json"
@@ -455,9 +478,7 @@ def test_explicit_template_and_serialization():
         "arrays": [[1, 2, 3, 4, 5, 0]],
     }])
     assert sys.factors[0].orbits().is_transitive
-    from orbitrewire import Labeling, PointSet
-    lab = Labeling.from_symbols(sp, list("aabbab"), alphabet=("a", "b"))
-    assert lab.codes_list() == [0, 0, 1, 1, 0, 1]
+    from orbitrewire import PointSet
     assert PointSet.from_indices(sp, [4, 1]).to_sorted_list() == [1, 4]
 
 

@@ -170,7 +170,9 @@ def orbit_alignment_loop(f):
     product of its generator cycles (both None otherwise)."""
     out = []
     hit = np.zeros(f.space.n_points, dtype=bool)
-    for orbit in f.orbits().orbits:
+    od = f.orbits()
+    for o in range(od.n_orbits):
+        orbit = np.flatnonzero(od.orbit_id == o)
         x0 = int(orbit[0])
         dims = tuple(int(c.cycle_len[c.cycle_of[x0]]) for c in f.charts)
         coords = None

@@ -16,6 +16,8 @@ only the package namespace exports, so it is not scanned.  What the package
 namespace exports (``orbitrewire.__all__``, submodules aside) must be
 referenced the same way by a package module other than ``__init__``, or be
 imported by the acceptance tests: no export serves the unit tests alone.
+The coded errors of the certified bounds are raised in ``certify.py`` alone,
+so each bound is stated in one place.
 """
 
 import ast
@@ -133,3 +135,25 @@ def test_every_export_has_a_caller_or_an_acceptance_test():
                if not isinstance(getattr(orbitrewire, name), types.ModuleType)]
     unused = sorted(set(exports) - used)
     assert not unused, "exports without a caller or an acceptance test: " + ", ".join(unused)
+
+
+CERTIFIED_ERRORS = {"BudgetViolated", "DefectBoundViolated", "FinalDiscrepancyExceeded",
+                    "CoverageBelowFloor"}
+
+
+def raised_names(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every ``raise Name`` or ``raise Name(...)``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                out.append((node.lineno, exc.id))
+    return out
+
+
+def test_certified_bounds_are_raised_only_in_certify():
+    stray = [f"{path.name}:{line} raises {name}" for path in PACKAGE if path.name != "certify.py"
+             for line, name in sorted(raised_names(ast.parse(path.read_text(encoding="utf-8"))))
+             if name in CERTIFIED_ERRORS]
+    assert not stray, "certified bounds raised outside certify.py: " + ", ".join(stray)
