@@ -2,16 +2,17 @@
 
 The workhorse here is the cycle chart of each generator permutation: points
 listed cycle by cycle with per-point positions.  Charts turn powers g^j other
-than 1 into O(1) index arithmetic and box-window sums into circular
-prefix-sum differences, which keeps every tower/name/window computation
-linear in the space size instead of linear in |tile| * N.  ``window_sum``
-gives such sums in point order.  The tile search reads a factor's orbits in
-product coordinates instead (``rewiring._GoodSetEvaluator``), because its
-bad counts do not depend on point order: ``rohlin.orbit_alignment`` groups
-the orbits by shape into C x d_0 x ... x d_{m-1} point arrays, built by one
-chained ``consecutive_images`` pass per shape (for a single generator the
-rows are its cycles).  Only a factor with an orbit that is not a product of
-its generator cycles still sums box windows in point order, by
+than 1 into O(1) index arithmetic, which keeps every tower/name/window
+computation linear in the space size instead of linear in |tile| * N.  Box
+windows have one primitive, ``_slide``, which takes circular windows along
+lines as differences of their doubled prefix: ``window_sum`` reads a chart's
+cycles of each length as lines, in point order, and the tile search reads a
+factor's orbits in product coordinates (``rewiring._OrbitBlock``), because
+its bad counts do not depend on point order: ``rohlin.orbit_alignment``
+groups the orbits by shape into C x d_0 x ... x d_{m-1} point arrays, built
+by one chained ``consecutive_images`` pass per shape (for a single generator
+the rows are its cycles).  Only a factor with an orbit that is not a product
+of its generator cycles still sums box windows in point order, by
 ``FactorAction.window_counts``.
 
 Window letters read the generators, not the charts: a power 1 is one
@@ -46,7 +47,6 @@ ergodic decomposition is the uniform measure on each orbit.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -62,6 +62,41 @@ from .space import (
     same_space,
     sym_diff_mass,
 )
+
+
+def _slide(pref: np.ndarray, totals: np.ndarray, lo: int, side: int,
+           stride: int = 1) -> np.ndarray:
+    """Circular windows of ``side`` steps from ``lo`` along the last axis.
+
+    ``pref[..., k]`` (0 <= k < 2d) counts the first k entries of each line of
+    length d read twice round and ``totals`` is the int64 line count.  The
+    result holds the int64 window of every stride-th position j = 0, stride,
+    ...: position j < d - p, p = lo mod d, starts its window at p + j, the
+    rest at p + j - d, so both are two strided slice differences, plus one
+    line count per whole lap.
+    """
+    d = pref.shape[-1] // 2
+    laps, rem = divmod(side, d)
+    p = lo % d
+    head = pref[..., p:d:stride]
+    wrap = -(d - p) % stride  # the first wrapped start
+    tail = pref[..., wrap:p:stride]
+    cut = head.shape[-1]
+    w = np.empty(pref.shape[:-1] + (cut + tail.shape[-1],), dtype=np.int64)
+    np.subtract(pref[..., p + rem:d + rem:stride], head, out=w[..., :cut])
+    np.subtract(pref[..., wrap + rem:p + rem:stride], tail, out=w[..., cut:])
+    if laps:
+        w += laps * totals
+    return w
+
+
+def _doubled_prefix(ind: np.ndarray, dtype) -> np.ndarray:
+    """The doubled prefix of every line along the last axis, as ``_slide`` reads it."""
+    d = ind.shape[-1]
+    pref = np.zeros(ind.shape[:-1] + (2 * d,), dtype=dtype)
+    np.cumsum(ind, axis=-1, dtype=dtype, out=pref[..., 1:d + 1])
+    pref[..., d + 1:] = pref[..., 1:d] + pref[..., d:d + 1]
+    return pref
 
 
 class CycleChart:
@@ -163,9 +198,9 @@ class CycleChart:
             pos += pos[pred]
             pred = pred2
         del pred, pred2
-        # cycles are numbered by increasing minimum
-        cycle_of = (np.cumsum(head) - 1)[label]
-        cycle_len = np.bincount(cycle_of, minlength=int(np.count_nonzero(head)))
+        # cycles are numbered by increasing minimum, like orbits
+        cycles = _orbits_of_minima(label)
+        cycle_of, cycle_len = cycles.orbit_id, cycles.sizes
         order = np.empty(n, dtype=np.int64)
         order[(np.cumsum(cycle_len) - cycle_len)[cycle_of] + pos] = points
         chart = cls(order, cycle_len)
@@ -250,25 +285,16 @@ class CycleChart:
     def window_sum(self, values: np.ndarray, lo: int, width: int) -> np.ndarray:
         """out[x] = sum of values[g^j x] for j in [lo, lo+width), all x.
 
-        One cycle-ordered prefix sum serves every point; widths beyond the
-        cycle length wrap and count full laps.
+        ``_slide`` windows the cycles of each length as lines from their
+        heads, where position j of a line is g^j of its head.
         """
-        pref = np.empty(self.n + 1, dtype=np.int64)
-        pref[0] = 0
-        np.cumsum(values[self.order], out=pref[1:])
-        st = self.cycle_start[self.cycle_of]
-        ln = self.cycle_len[self.cycle_of]
-        p0 = (self.pos + lo) % ln
-        laps = width // ln
-        rem = width - laps * ln
-        total = pref[st + ln] - pref[st]
-        end = p0 + rem
-        end_in = np.minimum(end, ln)
-        seg_in = pref[st + end_in] - pref[st + p0]
-        end_wrap = np.maximum(end - ln, 0)
-        seg_wrap = (pref[st + ln] - pref[st + p0]) + (pref[st + end_wrap] - pref[st])
-        seg = np.where(end <= ln, seg_in, seg_wrap)
-        return laps * total + seg
+        out = np.empty(self.n, dtype=np.int64)
+        for length in np.unique(self.cycle_len).tolist():
+            starts = self.cycle_start[self.cycle_len == length]
+            lines = self.order[starts[:, None] + np.arange(length, dtype=np.int64)]
+            pref = _doubled_prefix(values[lines], np.int64)
+            out[lines] = _slide(pref, pref[..., length:length + 1], lo, width)
+        return out
 
 
 class FactorAction:
@@ -543,9 +569,6 @@ def weak_discrepancy(a: FreeProductSystem, b: FreeProductSystem,
                      words: Sequence[FreeWord], sets: Sequence[PointSet]) -> Fraction:
     """max over (word, set) of mass(w^a A symdiff w^b A)."""
     same_space(a, b)
-    if not words or not sets:
-        warnings.warn("weak_discrepancy over an empty word/set family is 0", stacklevel=2)
-        return Fraction(0)
     worst = Fraction(0)
     for w in words:
         pa = a.word_perm(w)

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import certify
-from .actions import FreeProductSystem
+from .actions import FreeProductSystem, OrbitDecomposition
 from .errors import ExactRangeExceeded, InfeasibleTarget, VerificationFailed
 from .space import Distribution, Labeling, exact_fraction
 
@@ -56,6 +56,12 @@ def _check_exact_range(eps: Fraction, n: int, den: int = 1) -> None:
         )
 
 
+def _orbit_counts(od: OrbitDecomposition, codes: np.ndarray, k_sym: int) -> np.ndarray:
+    """The orbits x symbols table of how often each symbol occurs in each orbit."""
+    return np.bincount(od.orbit_id * k_sym + codes,
+                       minlength=od.n_orbits * k_sym).reshape(od.n_orbits, k_sym)
+
+
 def verify_good_partition(s: FreeProductSystem, psi: Labeling, pi: Distribution,
                           eps) -> GoodPartitionReport:
     """Exact per-factor mass of orbits deviating from pi by more than 2*eps.
@@ -77,9 +83,7 @@ def verify_good_partition(s: FreeProductSystem, psi: Labeling, pi: Distribution,
     per_factor = []
     for f in s.factors:
         od = f.orbits()
-        counts = np.bincount(
-            od.orbit_id * k_sym + psi.codes, minlength=od.n_orbits * k_sym
-        ).reshape(od.n_orbits, k_sym)
+        counts = _orbit_counts(od, psi.codes, k_sym)
         sizes = od.sizes
         dev = np.abs(counts * d - sizes[:, None] * scaled).max(axis=1)
         bad = certify.orbit_far(dev, sizes, d, eps)
@@ -120,9 +124,7 @@ def _rebalance(codes: np.ndarray, targets: list[int], system: FreeProductSystem)
     factor_orbit_counts = []
     for f in system.factors:
         od = f.orbits()
-        oc = np.bincount(od.orbit_id * k_sym + codes,
-                         minlength=od.n_orbits * k_sym).reshape(od.n_orbits, k_sym)
-        factor_orbit_counts.append((od, oc))
+        factor_orbit_counts.append((od, _orbit_counts(od, codes, k_sym)))
     pool: list[np.ndarray] = []
     for a in range(k_sym):
         excess = int(counts[a]) - targets[a]
@@ -172,11 +174,6 @@ def good_partition(s: FreeProductSystem, pi: Distribution, eps, seed: int,
     targets = _targets(pi, n)
     alphabet = pi.alphabet
     k_sym = len(alphabet)
-    if pi.is_point_mass():
-        a_idx = next(i for i, a in enumerate(alphabet) if pi.mass(a) == 1)
-        codes = np.full(n, a_idx, dtype=np.int64)
-        psi = Labeling(s.space, alphabet, codes)
-        return psi, verify_good_partition(s, psi, pi, eps), 0
     cum = np.cumsum([float(pi.mass(a)) for a in alphabet])
     cum[-1] = 1.0
     for attempt in range(max_retries + 1):

@@ -27,10 +27,11 @@ The tile search reads each factor's orbits as ``rohlin.orbit_alignment``
 gives them, grouped by shape into C x d_0 x ... x d_{m-1} point arrays: the
 candidate sides come from the shapes' dimensions, the coverage prefilter
 counts boxes per shape, and the good-set evaluator turns each shape into one
-``_OrbitBlock`` of prefix sums.  A factor with an orbit that is not a
-product of its generator cycles is evaluated in point order instead.  The
-rewiring reads the columns' levels (``ColumnData``), and the budget takes S_i
-of them as gamma_i's: no rewired action is built.
+``_OrbitBlock`` of prefix sums that ``actions._slide`` reads.  A factor with
+an orbit that is not a product of its generator cycles is evaluated in point
+order instead, on the same primitive.  The rewiring reads the columns'
+levels (``ColumnData``), and the budget takes S_i of them as gamma_i's: no
+rewired action is built.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from typing import Sequence
 import numpy as np
 
 from . import certify
-from .actions import FactorAction, FreeProductSystem, compose_letters, weak_discrepancy
+from .actions import (FactorAction, FreeProductSystem, _doubled_prefix, _slide,
+                      compose_letters, weak_discrepancy)
 from .errors import (
     BaseSizeMismatch,
     BudgetExceeded,
@@ -112,41 +114,6 @@ class TowerPairResult:
     coverage_alpha: Fraction
     coverage_beta: Fraction
     base_size: int
-
-
-def _slide(pref: np.ndarray, totals: np.ndarray, lo: int, side: int,
-           stride: int = 1) -> np.ndarray:
-    """Circular windows of ``side`` steps from ``lo`` along the last axis.
-
-    ``pref[..., k]`` (0 <= k < 2d) counts the first k entries of each line of
-    length d read twice round and ``totals`` is the int64 line count.  The
-    result holds the int64 window of every stride-th position j = 0, stride,
-    ...: position j < d - p, p = lo mod d, starts its window at p + j, the
-    rest at p + j - d, so both are two strided slice differences, plus one
-    line count per whole lap.
-    """
-    d = pref.shape[-1] // 2
-    laps, rem = divmod(side, d)
-    p = lo % d
-    head = pref[..., p:d:stride]
-    wrap = -(d - p) % stride  # the first wrapped start
-    tail = pref[..., wrap:p:stride]
-    cut = head.shape[-1]
-    w = np.empty(pref.shape[:-1] + (cut + tail.shape[-1],), dtype=np.int64)
-    np.subtract(pref[..., p + rem:d + rem:stride], head, out=w[..., :cut])
-    np.subtract(pref[..., wrap + rem:p + rem:stride], tail, out=w[..., cut:])
-    if laps:
-        w += laps * totals
-    return w
-
-
-def _doubled_prefix(ind: np.ndarray, dtype) -> np.ndarray:
-    """The doubled prefix of every line along the last axis, as ``_slide`` reads it."""
-    d = ind.shape[-1]
-    pref = np.zeros(ind.shape[:-1] + (2 * d,), dtype=dtype)
-    np.cumsum(ind, axis=-1, dtype=dtype, out=pref[..., 1:d + 1])
-    pref[..., d + 1:] = pref[..., 1:d] + pref[..., d:d + 1]
-    return pref
 
 
 class _OrbitBlock:
@@ -334,11 +301,14 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
                tile_cap: int = DEFAULT_TILE_CAP) -> TowerPairResult:
     """Matching Rohlin towers for both actions over one good box tile.
 
-    Searches box sides s = 2, 3, ... (tiles [0, s-1]^rank x full torsion) for
-    the smallest tile that is window-invariant within eps', has more than
-    1/eps' elements, can reach tiling coverage above 1 - 4*eps' on both
-    actions, and whose good sets both have mass above 1 - 2*eps'.  The towers
-    avoid the union of bad points and get equal base sizes by trimming.
+    Tries the tiles [0, s-1]^rank x full torsion for the sides s of
+    ``candidate_sides`` in increasing order, and takes the first that is
+    window-invariant within eps', has more than 1/eps' elements, passes the
+    coverage prefilter above 1 - 4*eps' on both actions, has good sets of
+    mass above 1 - 2*eps' on both, and clears the Rohlin stage; a smaller
+    side outside the candidates may pass all of these and is never tried.
+    The towers avoid the union of bad points and get equal base sizes by
+    trimming.
     Every bound is ``certify``'s: the size and invariance are its family 2,
     the evaluator's threshold its family 3, and ``rohlin_avoiding``'s tiling
     floor and ``certify_pair`` on the trimmed towers its family 4.  On a
@@ -371,10 +341,11 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
         return out
 
     def candidate_sides() -> list[int]:
-        """Sides that can clear the coverage floor: divisors of aligned
-        dimension lengths (full block packing) and the near-full band of
-        each length (single-block packing).  The exact coverage prefilter
-        below still vets every candidate."""
+        """The sides the search tries: the divisors s >= 2 of each length,
+        which pack it without a gap, and the sides above 1 - 4*eps' of it,
+        one box of which covers that much.  The lengths are both actions'
+        aligned free dimensions and unaligned orbit sizes.  Sides that pass
+        the coverage prefilter by packing boxes with gaps are left out."""
         lengths: set[int] = set()
         for f in (alpha_i, beta_i):
             alignment = orbit_alignment(f)
@@ -463,11 +434,11 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
 
 @dataclass
 class ColumnData:
-    """Both bases listed column by column, with per-column rows.
+    """The alpha base listed column by column, with per-column rows.
 
-    ``q_alpha`` and ``q_beta`` list the two bases in column order, ``col``
-    gives the column of each listed point, and ``levels`` is the alpha
-    tower's |T| x |B| level array in that listing.  Per-column data are
+    ``levels`` is the alpha tower's |T| x |B| level array with the base
+    points in column order, so its identity row lists the base, and ``col``
+    gives the column of each listed point.  Per-column data are
     n_cols x |T| rows: the tile names ``name_alpha`` and ``name_beta``, and,
     once ``tile_matching`` has run, the matching ``sigma``, the matched tile
     elements ``matched`` (the set T_s) and the certified column ``defects``
@@ -476,8 +447,6 @@ class ColumnData:
 
     tile: Tile
     alphabet_size: int
-    q_alpha: np.ndarray
-    q_beta: np.ndarray
     col: np.ndarray
     levels: np.ndarray
     name_alpha: np.ndarray
@@ -520,14 +489,12 @@ def column_partitions(tw_alpha: Tower, tw_beta: Tower, phi: Labeling) -> ColumnD
         _, cls = np.unique(keys, return_inverse=True)
         order = np.argsort(cls, kind="stable")
         listings.append((order, names[order], cls[order]))
-    (order_a, names_a, cls_a), (order_b, names_b, cls_b) = listings
+    (order_a, names_a, cls_a), (_, names_b, cls_b) = listings
     starts = np.ones(len(order_a), dtype=bool)
     starts[1:] = (cls_a[1:] != cls_a[:-1]) | (cls_b[1:] != cls_b[:-1])
     return ColumnData(
         tile=tile,
         alphabet_size=len(phi.alphabet),
-        q_alpha=tw_alpha.base[order_a],
-        q_beta=tw_beta.base[order_b],
         col=np.cumsum(starts) - 1,
         levels=tw_alpha.levels[:, order_a],
         name_alpha=names_a[starts],
@@ -581,8 +548,8 @@ def build_rewiring(alpha_i: FactorAction, cd: ColumnData) -> Permutation:
     On the level t.Q of column Q, S moves points to the sigma(t) level of the
     same column (identity off the tower), so it keeps alpha_i's orbits, as
     ``verify_orbit_equivalence`` certifies.  The level count certifies S, and
-    so every sigma, a bijection; the base check that S fixes the base, as the
-    budget's level array S(``cd.levels``) needs.  The levels are those of
+    so every sigma, a bijection; the base check that S fixes the base, the
+    identity's row of ``cd.levels``, as the budget's level array S(``cd.levels``) needs.  The levels are those of
     the alpha tower the columns were built from, which ``alpha_i`` must be
     the action of.
     """
@@ -595,7 +562,8 @@ def build_rewiring(alpha_i: FactorAction, cd: ColumnData) -> Permutation:
     counts = np.bincount(forward, minlength=n)
     if np.any(counts != 1):
         raise LevelOverlap("rewiring assignments collide; tower levels overlap")
-    if not np.array_equal(forward[cd.q_alpha], cd.q_alpha):
+    base = levels[cd.tile.identity_index]
+    if not np.array_equal(forward[base], base):
         raise LevelOverlap("internal error: rewiring moved a base point")
     return Permutation._trusted(alpha_i.space, forward)
 
@@ -668,7 +636,7 @@ def discrepancy_budget(alpha_i: FactorAction, t: Permutation, levels: np.ndarray
                          Fraction(int(np.count_nonzero(l2_mask)), n),
                          discrepancies, residual_empty))
     return certify.budget(l0, transport_ok, elements, exact_fraction(eps_prime),
-                          cd.alphabet_size, tile.size, len(cd.q_alpha), n)
+                          cd.alphabet_size, tile.size, levels.shape[1], n)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,8 +1017,7 @@ def oe_approximate(alpha: FreeProductSystem, beta: FreeProductSystem,
         words = [
             FreeWord.letter(i, g) for i, elems in enumerate(window) for g in elems
         ]
-        final = (weak_discrepancy(GammaWords(alpha, moves), beta, words, sets)
-                 if words and sets else Fraction(0))
+        final = weak_discrepancy(GammaWords(alpha, moves), beta, words, sets)
         certify.final_discrepancy(final, eps)
         ok, diag = verify_orbit_equivalence(alpha, witness)
         certify.orbit_equivalence(ok, diag)

@@ -29,7 +29,6 @@ import csv
 import functools
 import io
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -249,8 +248,7 @@ def _verify_report_payload(report: dict, config: RunConfig, space: FiniteSpace,
     words = [FreeWord.letter(i, g) for i, elems in enumerate(window) for g in elems]
     reported = parse_rational(_field(_field(report, "final", dict), "weak_discrepancy", dict),
                               "final weak_discrepancy")
-    final = (weak_discrepancy(witness.gamma_words(alpha), beta, words, sets)
-             if words and sets else Fraction(0))
+    final = weak_discrepancy(witness.gamma_words(alpha), beta, words, sets)
     if final != reported or not certify.final_ok(final, config.epsilon):
         return False
     ok, _ = verify_orbit_equivalence(alpha, witness)

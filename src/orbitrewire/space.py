@@ -319,9 +319,6 @@ class Distribution:
     def items(self):
         return ((a, self.masses[a]) for a in self.alphabet)
 
-    def is_point_mass(self) -> bool:
-        return any(m == 1 for m in self.masses.values())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Distribution):
             return NotImplemented
@@ -358,13 +355,11 @@ def generated_partition(space: FiniteSpace, sets: Sequence[PointSet]) -> Labelin
     for j, s in enumerate(sets):
         # bit j counted from the left so numeric order == lexicographic order
         codes |= s.mask.astype(np.int64) << (k - 1 - j)
-    patterns = np.unique(codes)
-    remap = np.full(int(patterns.max()) + 1, -1, dtype=np.int64)
-    remap[patterns] = np.arange(len(patterns))
+    patterns, codes = np.unique(codes, return_inverse=True)
     alphabet = tuple(
         tuple(int(p >> (k - 1 - j)) & 1 for j in range(k)) for p in patterns
     )
-    return Labeling(space, alphabet, remap[codes])
+    return Labeling(space, alphabet, codes)
 
 
 def pushforward(l: Labeling) -> Distribution:

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -147,24 +148,42 @@ def test_label_propagation_matches_union_find(n, k, seed):
     assert od.orbit_id.tolist() == _orbits_loop(n, forwards)
 
 
+def _steps_action(n: int, *steps: int, torsion=()) -> FactorAction:
+    """The factor whose generators rotate Z/n by ``steps``."""
+    sp = FiniteSpace(n)
+    gens = [Permutation(sp, (np.arange(n) + s) % n) for s in steps]
+    return FactorAction(AbelianGroupSpec(len(steps) - len(torsion), torsion), sp, gens)
+
+
+def _z15_times_z2() -> FactorAction:
+    """Z x Z/2 on Z/15 x Z/2: a shift of the first coordinate and a flip
+    of the second, so the orbit is a product of the generator cycles."""
+    sp = FiniteSpace(30)
+    i, b = np.arange(30) // 2, np.arange(30) % 2
+    return FactorAction(AbelianGroupSpec(1, (2,)), sp,
+                        (Permutation(sp, ((i + 1) % 15) * 2 + b), Permutation(sp, i * 2 + 1 - b)))
+
+
 def test_window_counts_against_brute_force():
+    """Aligned grids; Z^2 on Z/n by steps 1 and k, one orbit that is not a
+    product of the generator cycles, with gcd(k, n) = 1 and with
+    gcd(k, n) > 1, where the k-step cycles are shorter than some tile
+    sides; and Z x Z/2, aligned and not.  Boxes reach below 0."""
     rng = random.Random(11)
-    for _ in range(20):
-        m1, m2 = rng.choice([(4, 6), (3, 5), (6, 6)])
-        g = grid_action(m1, m2)
-        spec2 = AbelianGroupSpec(2)
-        lo1, hi1 = -rng.randrange(0, 2), rng.randrange(0, 3)
-        lo2, hi2 = -rng.randrange(0, 3), rng.randrange(0, 2)
-        tile = box_tile(spec2, [lo1, lo2], [hi1, hi2])
-        vals = np.array([rng.randrange(0, 4) for _ in range(m1 * m2)], dtype=np.int64)
-        got = g.window_counts(tile, vals)
-        points = np.arange(m1 * m2)
-        expect = sum(
-            vals[g.element_image_points(spec2.element([i, j]), points)]
-            for i in range(lo1, hi1 + 1)
-            for j in range(lo2, hi2 + 1)
-        )
-        assert got.tolist() == expect.tolist()
+    factors = [grid_action(4, 6), grid_action(3, 5), grid_action(6, 6),
+               _steps_action(35, 1, 3), _steps_action(37, 1, 8),
+               _steps_action(36, 1, 4), _steps_action(40, 1, 10),
+               _z15_times_z2(), _steps_action(30, 1, 15, torsion=(2,))]
+    for f in factors:
+        points = np.arange(f.space.n_points)
+        for _ in range(10):
+            lows = [-rng.randrange(0, 6) for _ in range(f.spec.rank)]
+            highs = [rng.randrange(0, 12) for _ in range(f.spec.rank)]
+            tile = box_tile(f.spec, lows, highs)
+            vals = np.array([rng.randrange(-2, 4) for _ in points], dtype=np.int64)
+            expect = sum(vals[f.element_image_points(tile.element_at(t), points)]
+                         for t in range(tile.size))
+            assert np.array_equal(f.window_counts(tile, vals), expect)
 
 
 def test_tile_images_matches_elementwise_action(z12):
@@ -186,11 +205,15 @@ def test_weak_discrepancy_examples():
     assert weak_discrepancy(a, b, w, s) == Fraction(1, 2)
 
 
-def test_weak_discrepancy_empty_family_warns():
+def test_weak_discrepancy_empty_family_is_zero():
     sp = FiniteSpace(4)
     a = rotation_system(sp, 1)
-    with pytest.warns(UserWarning):
-        assert weak_discrepancy(a, a, [], []) == 0
+    b = rotation_system(sp, 2)
+    w = [FreeWord.letter(0, Z.element([1]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert weak_discrepancy(a, b, [], [pointset(sp, 0)]) == 0
+        assert weak_discrepancy(a, b, w, []) == 0
 
 
 def test_freeness_defect_examples():

@@ -57,7 +57,7 @@ def _defects(defect: int, eps_prime: Fraction):
     pts = np.zeros(1, dtype=np.int64)
     names = np.zeros((1, tile.size), dtype=np.int16)
     matched = np.arange(tile.size)[None, :] >= defect
-    cd = ColumnData(tile=tile, alphabet_size=2, q_alpha=pts, q_beta=pts, col=pts,
+    cd = ColumnData(tile=tile, alphabet_size=2, col=pts,
                     levels=np.zeros((tile.size, 1), np.int64), name_alpha=names,
                     name_beta=names, matched=matched)
     return certify.column_defects(cd, eps_prime)

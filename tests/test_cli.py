@@ -400,6 +400,20 @@ def test_empty_window_runs_and_verifies_without_writing_to_stderr(tmp_path):
         assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_a_phi_family_of_35_sets_certifies_and_verifies(tmp_path):
+    # seven target sets and four window elements give 7 * (1 + 4) = 35
+    # family sets, whose membership patterns reach 2^34
+    residue = [{"type": "residue", "modulus": 8, "residues": r}
+               for r in ([0], [1], [2], [3], [0, 1], [2, 5], [0, 1, 2, 3])]
+    config = RunConfig.from_dict({**BASE_CONFIG, "space_size": 4000, "epsilon": "1/5",
+                                  "window": [[[1], [2]], [[1], [2]]],
+                                  "target_sets": residue})
+    _, report = execute(config)
+    assert report["alphabet_size"] == 8
+    json_path, _ = runner.write_report_files(report, tmp_path)
+    assert verify_report_file(json_path)
+
+
 def test_cli_exit_code_1_on_stage_failure(tmp_path):
     # non-transitive target factor with no ergodization: pipeline error
     cfg = write_config(tmp_path, {"beta": [{"name": "rotation", "step": 2},

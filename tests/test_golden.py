@@ -1,8 +1,9 @@
-"""Golden bytes: ``report.json`` and ``summary.csv`` of nine fixed runs.
+"""Golden bytes: ``report.json`` and ``summary.csv`` of eighteen fixed runs.
 
-The configs are the small forms of the three benchmark workloads (two
-rotation factors in the degenerate and the many-column regime, and a rank-2
-grid shift with a rotation), each at config seeds 3, 11 and 12345.  Every
+The configs are the small and the full-size forms of the three benchmark
+workloads (two rotation factors in the degenerate and the many-column
+regime, and a rank-2 grid shift with a rotation), each at config seeds 3,
+11 and 12345; the ``-full`` configs are the sizes the benchmark runs.  Every
 number a run certifies enters these bytes, so a refactor that claims to
 change no output must keep the hashes; a change that means to alter the
 output updates them and says why.
@@ -24,6 +25,18 @@ def _residue(modulus, residues):
     return {"type": "residue", "modulus": modulus, "residues": residues}
 
 
+def _grid_mixed(side, eps_prime):
+    return {
+        "space_size": side * side,
+        "epsilon": "1/5",
+        "alpha": [{"name": "grid_shift", "dims": [side, side], "steps": [1, 1]}, _rotation(3)],
+        "beta": [{"name": "grid_shift", "dims": [side, side], "steps": [1, 3]}, _rotation(7)],
+        "window": [[[1, 0], [0, 1]], [[1]]],
+        "target_sets": [_residue(2, [0])],
+        "eps_prime_override": eps_prime,
+    }
+
+
 def _rotations(n, sets, eps_prime=None):
     cfg = {
         "space_size": n,
@@ -38,18 +51,15 @@ def _rotations(n, sets, eps_prime=None):
     return cfg
 
 
+DEG_SETS = [_residue(2, [0]), _residue(8, [0, 1, 2, 3])]
+
 CONFIGS = {
-    "rot-degenerate": _rotations(4_000, [_residue(2, [0]), _residue(8, [0, 1, 2, 3])]),
+    "rot-degenerate": _rotations(4_000, DEG_SETS),
     "rot-many-column": _rotations(10_000, [_residue(2, [0])], "1/10"),
-    "grid-mixed": {
-        "space_size": 50 * 50,
-        "epsilon": "1/5",
-        "alpha": [{"name": "grid_shift", "dims": [50, 50], "steps": [1, 1]}, _rotation(3)],
-        "beta": [{"name": "grid_shift", "dims": [50, 50], "steps": [1, 3]}, _rotation(7)],
-        "window": [[[1, 0], [0, 1]], [[1]]],
-        "target_sets": [_residue(2, [0])],
-        "eps_prime_override": "1/20",
-    },
+    "grid-mixed": _grid_mixed(50, "1/20"),
+    "rot-degenerate-full": _rotations(10_000, DEG_SETS),
+    "rot-many-column-full": _rotations(100_000, [_residue(2, [0])], "1/25"),
+    "grid-mixed-full": _grid_mixed(256, "1/50"),
 }
 
 # (config, seed) -> sha256 of (report.json, summary.csv)
@@ -81,6 +91,33 @@ GOLDEN = {
     ("grid-mixed", 12345): (
         "f86d461d21f96cf2c2b6380b3ebaa24e89a41bd4e3fa50703627d5a4e6999ad2",
         "40897f5f08ec8e2f19e49380c7688a1b7b3ed2bf17514986f3b5041e881a30f5"),
+    ("rot-degenerate-full", 3): (
+        "7b82abc590b20b83f17aa09b5f26d1de1c5f08415d9520e7253761d292c79f1b",
+        "20d27f681d32ec74b329fe8af2480bd05447aee6972c939d47343b9cd0313c24"),
+    ("rot-degenerate-full", 11): (
+        "db30e34a638b46f27cf81f6f03ee947ce6fe93c8931591b972487e62e5f6a04b",
+        "4bf1ff73318a15796eb21a43c86b79fa750eec30313273af70b4744f40683029"),
+    ("rot-degenerate-full", 12345): (
+        "4693454e576d097046396aee9ad07de1d56668e81266a36e750d2d310058137d",
+        "628b6f0309c61a6d28f4ffe66a433a970cb891f54ce8c399ce9265e451d8752f"),
+    ("rot-many-column-full", 3): (
+        "d483a9e928000a72fd1d0608b21923e7b711786dc05c27757e536d4028469cdc",
+        "cfce60cd8ab8b7e5c5a4ac935cf668ccd3adbc119df11f5d64c772923364dfe4"),
+    ("rot-many-column-full", 11): (
+        "7e20f79e794b867f19da0daefecf7a29baec18c6ec7ad38b079585c9b5999dd4",
+        "a5492307caefca7f2edd73120c2eb35222a33d515d7d780bd5a67cba89f1ea3f"),
+    ("rot-many-column-full", 12345): (
+        "91dbe89d5d738b9c18968f57e8ff10e580ee4d1914cf5010eaf9176ebe53d03d",
+        "72d71789146222882389954de03fcc619f035843f42e35d725b790d147bf2c66"),
+    ("grid-mixed-full", 3): (
+        "4c3b2712a3594162c84948717362c2d8ddc95695d37bd169dcd5c389c82e1c23",
+        "b978183278ade4562b6b3a139ca650a052e0173ba83088260a2c66bbc51a755e"),
+    ("grid-mixed-full", 11): (
+        "a45ffef44dab27232cc4211f593a419def55ed5f557d34f06ba893f3007a4304",
+        "cae960b269b49ea7e0d308303bea5a843750bd0bb836d286039be9299fd452d5"),
+    ("grid-mixed-full", 12345): (
+        "9815f868f5f05fe17d276a43b4fdc826fdd3facd000d20fb8957d4826e74cdf9",
+        "f99fb961deaba0e301a490e02c700b9741b376599f4b9b79f582fd9c4782f7e1"),
 }
 
 

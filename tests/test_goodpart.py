@@ -28,11 +28,13 @@ def unif(*symbols):
 def test_point_mass_target_gives_constant_labeling():
     sp = FiniteSpace(10)
     sys = rotation_system(sp, 1)
-    pi = Distribution(("a", "b"), {"a": Fraction(1), "b": Fraction(0)})
-    psi, report, retries = good_partition(sys, pi, Fraction(1, 10), seed=0)
-    assert pushforward(psi) == pi
-    assert report.max_bad_mass == 0
-    assert retries == 0
+    # the i.i.d. draws give every point the symbol of mass 1, wherever it stands
+    for masses in ({"a": Fraction(1), "b": Fraction(0)}, {"a": Fraction(0), "b": Fraction(1)}):
+        pi = Distribution(("a", "b"), masses)
+        psi, report, retries = good_partition(sys, pi, Fraction(1, 10), seed=0)
+        assert pushforward(psi) == pi
+        assert report.max_bad_mass == 0
+        assert retries == 0
 
 
 def test_transitive_factor_bad_mass_zero_exactly():

@@ -81,7 +81,7 @@ def name_classes_loop(f, tile, base, codes):
 
 
 def column_refinement_loop(cls_a, cls_b):
-    """(q_alpha, q_beta, name_alpha, name_beta) per column: walk the name
+    """(alpha points, beta points, name_alpha, name_beta) per column: walk the name
     classes of both bases, splitting off min(remaining alpha, remaining
     beta) points at a time."""
     columns = []
@@ -135,7 +135,7 @@ def tile_matching_loop(tile, k_sym, names_a, names_b, eps):
 
 def rewiring_forward_loop(f, cd):
     forward = np.arange(f.space.n_points, dtype=np.int64)
-    for x, s in zip(cd.q_alpha, cd.col):
+    for x, s in zip(cd.levels[cd.tile.identity_index], cd.col):
         levels = f.tile_images(cd.tile, int(x))
         forward[levels] = levels[cd.sigma[s]]
     return forward
@@ -150,7 +150,7 @@ def budget_masks_loop(f, cd, g):
     l0 = np.ones(n, dtype=bool)
     l1 = np.zeros(n, dtype=bool)
     l2 = np.zeros(n, dtype=bool)
-    for x, s in zip(cd.q_alpha, cd.col):
+    for x, s in zip(cd.levels[cd.tile.identity_index], cd.col):
         img = f.tile_images(tile, int(x))
         l0[img] = False
         l1[img[~in_gt]] = True
@@ -166,16 +166,16 @@ def assert_columns_match_loop(cd, f_a, tw_a, f_b, tw_b, codes):
     columns = column_refinement_loop(name_classes_loop(f_a, tw_a.tile, tw_a.base, codes),
                                      name_classes_loop(f_b, tw_b.tile, tw_b.base, codes))
     assert cd.n_columns == len(columns)
-    assert cd.q_alpha.tolist() == [x for c in columns for x in c[0]]
-    assert cd.q_beta.tolist() == [x for c in columns for x in c[1]]
+    base = cd.levels[cd.tile.identity_index]
+    assert base.tolist() == [x for c in columns for x in c[0]]
     assert cd.col.tolist() == [s for s, c in enumerate(columns) for _ in c[0]]
     assert cd.name_alpha.dtype == cd.name_beta.dtype == np.int16
     assert cd.name_alpha.shape == cd.name_beta.shape == (len(columns), cd.tile.size)
     for s, (_, _, name_a, name_b) in enumerate(columns):
         assert np.array_equal(cd.name_alpha[s], name_a)
         assert np.array_equal(cd.name_beta[s], name_b)
-    assert cd.levels.shape == (cd.tile.size, len(cd.q_alpha))
-    for i, x in enumerate(cd.q_alpha):
+    assert cd.levels.shape == (cd.tile.size, len(base))
+    for i, x in enumerate(base):
         assert np.array_equal(cd.levels[:, i], f_a.tile_images(cd.tile, int(x)))
 
 
@@ -238,7 +238,7 @@ def _random_columns(rng, f, tile, pts: np.ndarray) -> ColumnData:
     for row in sigma:
         row[others] = rng.permutation(others)
     names = np.zeros((len(sizes), tile.size), dtype=np.int16)
-    return ColumnData(tile=tile, alphabet_size=1, q_alpha=pts, q_beta=pts,
+    return ColumnData(tile=tile, alphabet_size=1,
                       col=np.repeat(np.arange(len(sizes)), sizes),
                       levels=f.tile_images(tile, pts), name_alpha=names, name_beta=names,
                       sigma=sigma, matched=rng.random(sigma.shape) < 0.7)
@@ -321,8 +321,8 @@ def test_column_partitions_match_while_loop(data, k_sym, seed):
 def _rows_only(tile, k_sym, names_a, names_b) -> ColumnData:
     """Columns of one base point each; tile_matching reads only the rows."""
     pts = np.arange(len(names_a), dtype=np.int64)
-    return ColumnData(tile=tile, alphabet_size=k_sym, q_alpha=pts,
-                      q_beta=pts, col=pts, levels=np.zeros((tile.size, len(pts)), np.int64),
+    return ColumnData(tile=tile, alphabet_size=k_sym, col=pts,
+                      levels=np.zeros((tile.size, len(pts)), np.int64),
                       name_alpha=np.asarray(names_a, dtype=np.int16),
                       name_beta=np.asarray(names_b, dtype=np.int16))
 
@@ -386,7 +386,7 @@ def test_loss_masks_match_loop(data, seed):
     cd = _random_columns(np.random.default_rng(seed), f, tile, tiling_base(f, tile).base)
     g = f.spec.element(data.draw(st.lists(st.integers(-3, 3), min_size=f.spec.num_generators,
                                           max_size=f.spec.num_generators)))
-    levels = f.tile_images(tile, cd.q_alpha)
+    levels = cd.levels
     matched = np.array([cd.matched[s] for s in cd.col], dtype=bool).reshape(-1, tile.size).T
     l1, l2 = _loss_masks(f.space.n_points, tile, levels, matched, g)
     _, l1_loop, l2_loop = budget_masks_loop(f, cd, g)

@@ -316,8 +316,7 @@ def test_column_partitions_greedy_split_sizes():
     cd = column_partitions(tw_a, tw_b, phi)
     assert np.bincount(cd.col).tolist() == [2, 1, 1]
     assert cd.col.tolist() == [0, 0, 1, 2]
-    assert cd.q_alpha.tolist() == [0, 1, 2, 60]
-    assert cd.q_beta.tolist() == [3, 4, 61, 62]
+    assert cd.levels[t.identity_index].tolist() == [0, 1, 2, 60]
     assert cd.name_alpha.tolist() == [[0], [0], [1]]
     assert cd.name_beta.tolist() == [[0], [1], [1]]
 
@@ -347,14 +346,12 @@ def test_column_partitions_base_size_mismatch():
 # tile matching
 # ---------------------------------------------------------------------------
 
-def _column_data(sp, tile, name_a, name_b, q_a, q_b, k_sym):
-    """One column over the bases q_a and q_b of the rotation by 1."""
+def _column_data(sp, tile, name_a, name_b, q_a, k_sym):
+    """One column over the alpha base q_a of the rotation by 1."""
     q_a = np.asarray(q_a, dtype=np.int64)
     return ColumnData(
         tile=tile,
         alphabet_size=k_sym,
-        q_alpha=q_a,
-        q_beta=np.asarray(q_b, dtype=np.int64),
         col=np.zeros(len(q_a), dtype=np.int64),
         levels=rotation(sp, 1).tile_images(tile, q_a),
         name_alpha=np.asarray([name_a], dtype=np.int16),
@@ -365,7 +362,7 @@ def _column_data(sp, tile, name_a, name_b, q_a, q_b, k_sym):
 def test_tile_matching_equal_names_identity():
     sp = FiniteSpace(30)
     tile = box_tile(Z, [0], [4])
-    cd = _column_data(sp, tile, [0, 1, 0, 1, 0], [0, 1, 0, 1, 0], [0], [1], 2)
+    cd = _column_data(sp, tile, [0, 1, 0, 1, 0], [0, 1, 0, 1, 0], [0], 2)
     cd = tile_matching(cd, Fraction(1, 6))
     assert cd.sigma.tolist() == [[0, 1, 2, 3, 4]]
     assert cd.matched.all()
@@ -375,7 +372,7 @@ def test_tile_matching_two_element_swap_case():
     sp = FiniteSpace(30)
     tile = box_tile(Z, [0], [1])
     # names disagree everywhere and sigma(e) = e is forced: T_s is empty
-    cd = _column_data(sp, tile, [0, 1], [1, 0], [0], [1], 2)
+    cd = _column_data(sp, tile, [0, 1], [1, 0], [0], 2)
     cd = tile_matching(cd, Fraction(1, 10))  # 7 * 1/10 * 2 * 2 = 2.8 > 2
     assert cd.sigma.tolist() == [[0, 1]]
     assert not cd.matched.any()
@@ -384,7 +381,7 @@ def test_tile_matching_two_element_swap_case():
 def test_tile_matching_defect_bound_violated():
     sp = FiniteSpace(30)
     tile = box_tile(Z, [0], [1])
-    cd = _column_data(sp, tile, [0, 1], [1, 0], [0], [1], 2)
+    cd = _column_data(sp, tile, [0, 1], [1, 0], [0], 2)
     with pytest.raises(DefectBoundViolated):
         tile_matching(cd, Fraction(1, 20))  # 7 * 1/20 * 2 * 2 = 1.4 < 2
 
@@ -394,7 +391,7 @@ def test_tile_matching_per_symbol_count_gap():
     tile = box_tile(Z, [0], [9])
     name_a = [0, 0, 0, 0, 0, 0, 1, 1, 1, 1]
     name_b = [0, 0, 0, 0, 1, 1, 1, 1, 1, 1]  # counts differ by 2 per symbol
-    cd = _column_data(sp, tile, name_a, name_b, [0], [1], 2)
+    cd = _column_data(sp, tile, name_a, name_b, [0], 2)
     cd = tile_matching(cd, Fraction(1, 8))
     defect = tile.size - int(cd.matched[0].sum())
     assert defect <= 2 * 2 + 1
@@ -427,8 +424,6 @@ def test_build_rewiring_swap_levels_on_z6():
     cd = ColumnData(
         tile=tile,
         alphabet_size=1,
-        q_alpha=np.array([0, 3]),
-        q_beta=np.array([0, 3]),
         col=np.array([0, 0]),
         levels=f.tile_images(tile, [0, 3]),
         name_alpha=np.zeros((1, 3), dtype=np.int16),
@@ -452,8 +447,6 @@ def test_build_rewiring_fixes_points_outside_tower():
     cd = ColumnData(
         tile=tile,
         alphabet_size=1,
-        q_alpha=np.array([0]),
-        q_beta=np.array([0]),
         col=np.array([0]),
         levels=f.tile_images(tile, [0]),
         name_alpha=np.zeros((1, 3), dtype=np.int16),

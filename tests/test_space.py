@@ -90,6 +90,26 @@ def test_generated_partition_two_sets_patterns():
     assert lab.alphabet == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+@pytest.mark.parametrize("n, blocks", [(1000, None), (997, 16)])
+def test_generated_partition_of_62_sets_matches_sorted_patterns(n, blocks):
+    """The largest family allowed: symbols are the realized membership
+    patterns in sorted order, read without a table over all 2^62 patterns.
+    With ``blocks`` the sets are unions of 16 random blocks, so patterns
+    repeat."""
+    rng = np.random.default_rng(n)
+    if blocks is None:
+        masks = rng.random((62, n)) < 0.5
+    else:
+        masks = (rng.random((62, blocks)) < 0.5)[:, rng.integers(0, blocks, n)]
+    sp = FiniteSpace(n)
+    lab = generated_partition(sp, [PointSet(sp, m) for m in masks])
+    patterns = [tuple(int(b) for b in col) for col in masks.T]
+    alphabet = sorted(set(patterns))
+    code = {p: i for i, p in enumerate(alphabet)}
+    assert lab.alphabet == tuple(alphabet)
+    assert lab.codes.tolist() == [code[p] for p in patterns]
+
+
 def test_pushforward_examples():
     sp = FiniteSpace(4)
     const = Labeling.constant(sp, "a")
