@@ -3,6 +3,7 @@
 Config files are plain JSON.  Rationals may be written as "p/q" strings,
 decimal strings, integers, or {"num": p, "den": q} objects; they are parsed
 exactly (decimals through their decimal expansion, never binary floats).
+A top-level key outside the schema is refused, as it may be a misspelling.
 
 Schema (all masses exact rationals):
 
@@ -23,7 +24,7 @@ Schema (all masses exact rationals):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -82,10 +83,12 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
-        missing = [k for k in ("space_size", "epsilon", "seed", "alpha", "beta",
-                               "window", "target_sets") if k not in d]
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
         if missing:
             raise ConfigError(f"config missing required keys: {missing}")
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"config has unknown keys: {sorted(map(str, unknown))}")
         n = d["space_size"]
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ConfigError(f"space_size must be a positive integer, got {n!r}")

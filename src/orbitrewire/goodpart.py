@@ -180,7 +180,6 @@ def good_partition(s: FreeProductSystem, pi: Distribution, eps, seed: int,
         rng = np.random.default_rng(seed + attempt)
         draws = rng.random(n)
         codes = np.searchsorted(cum, draws, side="right").astype(np.int64)
-        np.clip(codes, 0, k_sym - 1, out=codes)
         codes = _rebalance(codes, targets, s)
         if np.bincount(codes, minlength=k_sym).tolist() != targets:
             raise VerificationFailed("internal error: rebalance missed exact counts")

@@ -28,8 +28,8 @@ gives them, grouped by shape into C x d_0 x ... x d_{m-1} point arrays: the
 candidate sides come from the shapes' dimensions, the coverage prefilter
 counts boxes per shape, and the good-set evaluator turns each shape into one
 ``_OrbitBlock`` of prefix sums that ``actions._slide`` reads.  A factor with
-an orbit that is not a product of its generator cycles is evaluated in point
-order instead, on the same primitive.  The rewiring reads the columns'
+an orbit that is not a product of its generator cycles is one ``_PointBlock``,
+read the same way but in point order.  The rewiring reads the columns'
 levels (``ColumnData``), and the budget takes S_i of them as gamma_i's: no
 rewired action is built.
 """
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -59,7 +60,7 @@ from .errors import (
     SpecMismatch,
     VerificationFailed,
 )
-from .goodpart import _check_exact_range, good_partition
+from .goodpart import _check_exact_range, _orbit_counts, good_partition
 from .groups import DEFAULT_TILE_CAP, AbelianElement, FreeWord, Tile, box_tile
 from .rohlin import Tower, max_aligned_coverage, orbit_alignment, rohlin_avoiding
 from .space import (
@@ -151,11 +152,11 @@ class _OrbitBlock:
             self.counts.append(totals.reshape(len(points), -1).sum(axis=1).reshape(per_orbit))
         self.fixed = np.zeros(per_orbit, dtype=bool)
 
-    def window(self, a: int, lows: Sequence[int], sides: Sequence[int],
-               stride: int = 1) -> np.ndarray:
-        """int64 counts of symbol a over the box of ``lows``/``sides`` from
-        every point, at every stride-th position of the last axis.  With
-        stride 1 the result is laid out like ``points``."""
+    def window(self, a: int, tile: Tile, stride: int) -> np.ndarray:
+        """int64 counts of symbol a over the tile's box from every point, at
+        every stride-th position of the last axis.  With stride 1 the result
+        is laid out like ``points``."""
+        lows, sides = tile.dim_lows, tile.sides
         w = _slide(self.pref[a], self.totals[a], lows[-1], sides[-1], stride)
         for axis in range(1, len(self.dims)):
             line = np.moveaxis(w, axis, -1)
@@ -164,6 +165,31 @@ class _OrbitBlock:
             w = np.moveaxis(_slide(pref, pref[..., d:d + 1], lows[axis - 1], sides[axis - 1]),
                             -1, axis)
         return w
+
+
+class _PointBlock:
+    """A factor with an unaligned orbit, in point order: ``_OrbitBlock``'s
+    fields over every point, with per-point ``size`` and ``counts`` built when
+    the rewired side first reads them, and the tile's ``window_counts``."""
+
+    def __init__(self, f: FactorAction, codes: np.ndarray, k_sym: int):
+        self.f = f
+        self.codes = codes
+        self.k_sym = k_sym
+        self.points = np.arange(f.space.n_points, dtype=np.int64)
+        self.fixed = np.zeros(f.space.n_points, dtype=bool)
+
+    @cached_property
+    def size(self) -> np.ndarray:
+        return self.f.orbits().sizes[self.f.orbits().orbit_id]
+
+    @cached_property
+    def counts(self) -> list[np.ndarray]:
+        od = self.f.orbits()
+        return list(_orbit_counts(od, self.codes, self.k_sym)[od.orbit_id].T)
+
+    def window(self, a: int, tile: Tile, stride: int) -> np.ndarray:
+        return self.f.window_counts(tile, self.codes == a)
 
 
 class _GoodSetEvaluator:
@@ -177,22 +203,21 @@ class _GoodSetEvaluator:
     in product coordinates: each orbit shape of ``rohlin.orbit_alignment``
     is one ``_OrbitBlock``, box windows are slice differences of prefixes
     along each axis, and only an accepted tile's mask is written back to
-    point order.  The orbit conditions do not depend on the tile and are
-    counted once, per orbit.  Each candidate is first screened on a stride
-    of the blocks' last axis, an exact rejection test because bad points in
-    the sample are bad points outright, and the full pass early-exits once
-    the bad count crosses the threshold.  Only a factor with an unaligned
-    orbit keeps point order and the tile's ``window_counts``.  A good window
-    is within 3 eps' of the global mass: by definition on the target side,
-    and by the triangle inequality on the rewired side, where an orbit more
-    than 2 eps' off the global mass is bad outright (``fixed``).
+    point order; a factor with an unaligned orbit is one unscreened
+    ``_PointBlock``, read the same way.  The orbit conditions do not depend
+    on the tile and are counted once, per orbit.  Each candidate is first
+    screened on a stride of the orbit blocks' last axis, an exact rejection
+    test because bad points in the sample are bad points outright, and the
+    full pass early-exits once the bad count crosses the threshold.  A good
+    window is within 3 eps' of the global mass: by definition on the target
+    side, and by the triangle inequality on the rewired side, where an orbit
+    more than 2 eps' off the global mass is bad outright (``fixed``).
     """
 
     SUBSAMPLE_TARGET = 4096
 
     def __init__(self, f: FactorAction, phi: Labeling, eps: Fraction, kind: str):
         _check_exact_range(eps, f.space.n_points)
-        self.f = f
         self.eps = eps
         self.kind = kind  # "rewired" (orbit-relative) or "target" (global)
         self.n = n = f.space.n_points
@@ -200,34 +225,20 @@ class _GoodSetEvaluator:
         self.k_sym = k_sym = len(phi.alphabet)
         self.counts = np.bincount(phi.codes, minlength=k_sym).tolist()
         alignment = orbit_alignment(f)
-        if not alignment.unaligned.size:
+        if alignment.unaligned.size:
+            self.stride = 1
+            self.blocks = [_PointBlock(f, phi.codes, k_sym)]
+        else:
             # the subsample screen reads every stride-th position of each line
             self.stride = max(1, n // self.SUBSAMPLE_TARGET)
-            self.blocks = []
-            for shape in alignment.shapes:
-                blk = _OrbitBlock(shape.points, phi.codes[shape.points], k_sym)
-                if kind == "rewired":
-                    # orbit-vs-global failures are tile-independent
-                    size = blk.size
-                    for a, count in enumerate(blk.counts):
-                        blk.fixed |= certify.orbit_far(
-                            np.abs(count * n - self.counts[a] * size), size, n, eps)
-                self.blocks.append(blk)
-            self.n_fixed = sum(int(np.count_nonzero(b.fixed)) * b.size for b in self.blocks)
-        else:
-            self.blocks = None
-            self.codes = phi.codes
-            self.fixed_bad = np.zeros(n, dtype=bool)
-            if kind == "rewired":
-                od = f.orbits()
-                self.orbit_counts = []
-                for a in range(k_sym):
-                    c_orb = np.bincount(od.orbit_id[phi.codes == a], minlength=od.n_orbits)
-                    self.orbit_counts.append(c_orb)
-                    far = certify.orbit_far(
-                        np.abs(c_orb * n - self.counts[a] * od.sizes), od.sizes, n, eps)
-                    self.fixed_bad |= far[od.orbit_id]
-            self.n_fixed = int(np.count_nonzero(self.fixed_bad))
+            self.blocks = [_OrbitBlock(shape.points, phi.codes[shape.points], k_sym)
+                           for shape in alignment.shapes]
+        if kind == "rewired":
+            # orbit-vs-global failures are tile-independent
+            for blk in self.blocks:
+                for a, count in enumerate(blk.counts):
+                    blk.fixed |= certify.orbit_far(
+                        np.abs(count * n - self.counts[a] * blk.size), blk.size, n, eps)
 
     def _too_bad(self, n_bad: int) -> bool:
         return n_bad > self.max_bad
@@ -242,18 +253,11 @@ class _GoodSetEvaluator:
         w *= eden
         return w > slack * enum * tsz * size
 
-    def _block_bad(self, blk: _OrbitBlock, tile: Tile, a: int, stride: int) -> np.ndarray:
-        w = blk.window(a, tile.dim_lows, tile.sides, stride)
+    def _block_bad(self, blk, tile: Tile, a: int, stride: int) -> np.ndarray:
+        w = blk.window(a, tile, stride)
         if self.kind != "rewired":
             return self._far(w, self.counts[a], self.n, tile.size, 3)
         return self._far(w, blk.counts[a], blk.size, tile.size)
-
-    def _point_bad(self, tile: Tile, a: int) -> np.ndarray:
-        w = self.f.window_counts(tile, self.codes == a)
-        if self.kind != "rewired":
-            return self._far(w, self.counts[a], self.n, tile.size, 3)
-        od = self.f.orbits()
-        return self._far(w, self.orbit_counts[a][od.orbit_id], od.sizes[od.orbit_id], tile.size)
 
     def _blocks_bad(self, tile: Tile, stride: int) -> list[np.ndarray] | None:
         """Per block, its bad points among every stride-th position of each
@@ -269,24 +273,14 @@ class _GoodSetEvaluator:
 
     def evaluate(self, tile: Tile) -> tuple[np.ndarray, Fraction] | None:
         """Good-set mask and mass, or None when mass <= 1 - 2*eps."""
-        if self._too_bad(self.n_fixed):
+        if self.stride > 1 and self._blocks_bad(tile, self.stride) is None:
             return None
-        if self.blocks is None:
-            bad = self.fixed_bad.copy()
-            for a in range(self.k_sym):
-                bad |= self._point_bad(tile, a)
-                if self._too_bad(int(np.count_nonzero(bad))):
-                    return None
-            good = ~bad
-        else:
-            if self.stride > 1 and self._blocks_bad(tile, self.stride) is None:
-                return None
-            bad = self._blocks_bad(tile, 1)
-            if bad is None:
-                return None
-            good = np.empty(self.n, dtype=bool)
-            for blk, b in zip(self.blocks, bad):
-                good[blk.points] = ~b
+        bad = self._blocks_bad(tile, 1)
+        if bad is None:
+            return None
+        good = np.empty(self.n, dtype=bool)
+        for blk, b in zip(self.blocks, bad):
+            good[blk.points] = ~b
         return good, Fraction(int(np.count_nonzero(good)), self.n)
 
 

@@ -13,7 +13,7 @@ every orbit shape the box fits (each side at most its dimension, torsion
 dimensions of full modulus length) it packs the complete boxes, by one
 strided slice over all the shape's orbits, so aligned models whose
 dimensions the sides divide are covered exactly; a literal greedy sweep
-handles the remaining orbits, reporting achieved coverage honestly.  It
+handles the unaligned orbits, reporting achieved coverage honestly.  It
 returns the ``Tower`` it certified.
 
 ``rohlin_avoiding`` upgrades a base to one avoiding a given small set: among
@@ -123,16 +123,19 @@ def max_aligned_coverage(f: FactorAction, sides: tuple[int, ...], tile_size: int
 
 
 def _greedy_base_points(f: FactorAction, t: Tile, sweep: np.ndarray) -> list[int]:
+    # distinct tile images are a property of the stabilizer, constant on an
+    # orbit of an abelian action: test each orbit once, at its first point
+    orbit_of = f.orbits().orbit_id[sweep]
+    orbits, first = np.unique(orbit_of, return_index=True)
+    images = np.sort(f.tile_images(t, sweep[first]), axis=0)
+    distinct = orbits[(images[1:] != images[:-1]).all(axis=0)]
     covered = np.zeros(f.space.n_points, dtype=bool)
     picked = []
-    for x in sweep:
+    for x in sweep[np.isin(orbit_of, distinct)]:
         idx = f.tile_images(t, int(x))
-        if np.unique(idx).size != idx.size:
-            continue
-        if covered[idx].any():
-            continue
-        covered[idx] = True
-        picked.append(int(x))
+        if not covered[idx].any():
+            covered[idx] = True
+            picked.append(int(x))
     return picked
 
 
@@ -141,8 +144,9 @@ def tiling_base(f: FactorAction, t: Tile) -> Tower:
     maximizing coverage; W is its identity level, in increasing order.
 
     Exact box packing on the orbit shapes the tile fits; greedy index-order
-    sweep over the other orbits (guarded by a cost cap), which needs no
-    knowledge of the packed ones because a tile never leaves its orbit.
+    sweep over the unaligned orbits, which needs no knowledge of the packed
+    ones because a tile never leaves its orbit.  An aligned orbit the box
+    does not fit, where its images wrap, is skipped: the base may be empty.
     Raises TILE_TOO_LARGE when the tile cannot fit in the smallest orbit and
     COVERAGE_SHORTFALL when the sweep is refused or levels overlap; the
     caller compares the coverage with its floor.
@@ -154,22 +158,20 @@ def tiling_base(f: FactorAction, t: Tile) -> Tower:
         raise TileTooLarge(
             f"tile of size {t.size} exceeds smallest orbit size {od.min_orbit_size()}"
         )
-    base_points: list[np.ndarray] = []
-    greedy = np.ones(od.n_orbits, dtype=bool)
-    for shape in orbit_alignment(f).shapes:
+    alignment = orbit_alignment(f)
+    base_points = [np.empty(0, dtype=np.int64)]
+    for shape in alignment.shapes:
         if shape.boxes(t.sides):
-            greedy[shape.orbits] = False
             corners = tuple(slice(-lo, -lo + side * (d // side), side)
                             for lo, side, d in zip(t.dim_lows, t.sides, shape.dims))
             base_points.append(shape.points[(slice(None),) + corners].ravel())
-    if greedy.any():
-        sweep = np.flatnonzero(greedy[od.orbit_id])
+    if alignment.unaligned.size:
+        sweep = np.flatnonzero(np.isin(od.orbit_id, alignment.unaligned))
         if sweep.size * t.size > GREEDY_COST_CAP:
             raise CoverageShortfall(
                 "orbits without product structure are too large for the greedy sweep"
             )
         base_points.append(np.array(_greedy_base_points(f, t, sweep), dtype=np.int64))
-    # every orbit is packed or swept, so base_points is never empty
     tower = Tower.over(f, t, np.sort(np.concatenate(base_points)))
     if not tower_support(tower, f.space.n_points):
         raise CoverageShortfall("internal error: constructed base has overlapping levels")

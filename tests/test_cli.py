@@ -253,6 +253,13 @@ def test_cli_exit_code_2_on_config_errors(tmp_path):
         assert main(["report", str(stub)]) == 2
 
 
+def test_cli_exit_code_2_on_a_misspelled_key(tmp_path, capsys):
+    # a misspelled optional key would otherwise run at the key's default
+    assert main(["run", str(write_config(tmp_path, {"eps_prime_overide": "1/25"}))]) == 2
+    assert "eps_prime_overide" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def _edit_packed(edit):
     """A tamper that replaces rewiring 0's decoded bytes by ``edit(raw, w)``."""
     def tamper(r):

@@ -1,9 +1,12 @@
-"""Golden bytes: ``report.json`` and ``summary.csv`` of eighteen fixed runs.
+"""Golden bytes: ``report.json`` and ``summary.csv`` of nineteen fixed runs.
 
 The configs are the small and the full-size forms of the three benchmark
 workloads (two rotation factors in the degenerate and the many-column
 regime, and a rank-2 grid shift with a rotation), each at config seeds 3,
-11 and 12345; the ``-full`` configs are the sizes the benchmark runs.  Every
+11 and 12345; the ``-full`` configs are the sizes the benchmark runs.  The
+nineteenth, at seed 3, is a Z^2 factor acting on Z/N by steps 1 and k with a
+rotation: its orbit is not a product of its generator cycles, so it runs the
+point-order good-set evaluation and the greedy sweep of the tiling.  Every
 number a run certifies enters these bytes, so a refactor that claims to
 change no output must keep the hashes; a change that means to alter the
 output updates them and says why.
@@ -51,6 +54,21 @@ def _rotations(n, sets, eps_prime=None):
     return cfg
 
 
+def _skewed_lattice(n, eps_prime):
+    def steps(k):
+        return {"name": "explicit", "rank": 2,
+                "arrays": [[(x + 1) % n for x in range(n)], [(x + k) % n for x in range(n)]]}
+    return {
+        "space_size": n,
+        "epsilon": "1/5",
+        "alpha": [steps(101), _rotation(3)],
+        "beta": [steps(211), _rotation(7)],
+        "window": [[[1, 0], [0, 1]], [[1]]],
+        "target_sets": [_residue(2, [0])],
+        "eps_prime_override": eps_prime,
+    }
+
+
 DEG_SETS = [_residue(2, [0]), _residue(8, [0, 1, 2, 3])]
 
 CONFIGS = {
@@ -60,6 +78,7 @@ CONFIGS = {
     "rot-degenerate-full": _rotations(10_000, DEG_SETS),
     "rot-many-column-full": _rotations(100_000, [_residue(2, [0])], "1/25"),
     "grid-mixed-full": _grid_mixed(256, "1/50"),
+    "skewed-lattice": _skewed_lattice(6_000, "1/10"),
 }
 
 # (config, seed) -> sha256 of (report.json, summary.csv)
@@ -118,6 +137,9 @@ GOLDEN = {
     ("grid-mixed-full", 12345): (
         "9815f868f5f05fe17d276a43b4fdc826fdd3facd000d20fb8957d4826e74cdf9",
         "f99fb961deaba0e301a490e02c700b9741b376599f4b9b79f582fd9c4782f7e1"),
+    ("skewed-lattice", 3): (
+        "4d8bfbc706a3e3144ebfa1b266c049848ee75e7907e9f6aa23400cae59cd858e",
+        "42895ebdaac4feb1589febd7f440f2c87c6a446fbbbf424e238dba8ce36b3ae0"),
 }
 
 

@@ -18,14 +18,16 @@ an orbit's coordinate order is not index order, factors with an unaligned
 orbit (two equal rotations), which must keep point order, and mixed factors
 holding an aligned torus, an unaligned orbit and a torus too small for most
 tiles.  Tiles have negative lows and may reach past an orbit dimension, so
-windows wrap whole laps along every axis.
+windows wrap whole laps along every axis.  An aligned factor read as one
+``_PointBlock``, the point-order block, must also agree with its orbit
+blocks.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import Z
 
@@ -38,9 +40,11 @@ from orbitrewire import (
     PointSet,
     box_tile,
 )
+from orbitrewire import rewiring
 from orbitrewire.errors import TileTooLarge
-from orbitrewire.rewiring import _GoodSetEvaluator
-from orbitrewire.rohlin import max_aligned_coverage, orbit_alignment, tiling_base, tower_support
+from orbitrewire.rewiring import _GoodSetEvaluator, _PointBlock
+from orbitrewire.rohlin import (Alignment, max_aligned_coverage, orbit_alignment, tiling_base,
+                                tower_support)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -378,7 +382,7 @@ def _assert_same_as_oracle(data, f):
         new = _with_subsample(_GoodSetEvaluator, target)(f, phi, eps, kind)
         old = _with_subsample(PointOrderEvaluator, target)(f, phi, eps, kind)
         # only a factor with an unaligned orbit keeps point order
-        assert (new.blocks is None) == (not aligned)
+        assert any(isinstance(b, _PointBlock) for b in new.blocks) == (not aligned)
         for _ in range(3):
             tile = data.draw(tiles(f))
             got, want = new.evaluate(tile), old.evaluate(tile)
@@ -407,6 +411,36 @@ def test_single_generator_evaluator_matches_point_order(data):
 @given(st.data())
 def test_grid_evaluator_matches_point_order(data):
     _assert_same_as_oracle(data, data.draw(grid_factors()))
+
+
+def _all_unaligned(f):
+    return Alignment([], np.arange(f.orbits().n_orbits))
+
+
+@SETTINGS
+@given(st.data())
+def test_point_block_matches_orbit_blocks(data):
+    # an aligned factor read as one forced point block, unscreened, gets the
+    # verdicts, masks and masses of its orbit blocks
+    f = data.draw(st.sampled_from((single_generator_factors, grid_factors)).flatmap(
+        lambda factors: factors()))
+    assume(not orbit_alignment(f).unaligned.size)
+    phi = _labeling(data, f)
+    eps = data.draw(EPS)
+    evaluator = _with_subsample(_GoodSetEvaluator, data.draw(st.sampled_from((4096, 2, 5))))
+    for kind in ("rewired", "target"):
+        blocks = evaluator(f, phi, eps, kind)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rewiring, "orbit_alignment", _all_unaligned)
+            points = evaluator(f, phi, eps, kind)
+        assert [type(b) for b in points.blocks] == [_PointBlock] and points.stride == 1
+        for _ in range(3):
+            tile = data.draw(tiles(f))
+            got, want = points.evaluate(tile), blocks.evaluate(tile)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert np.array_equal(got[0], want[0])
+                assert got[1] == want[1]
 
 
 @st.composite

@@ -18,6 +18,7 @@ from orbitrewire import (
     tiling_base,
     verify_tower,
 )
+from orbitrewire import rohlin
 from orbitrewire.errors import (
     CoverageBelowFloor,
     HypothesisViolated,
@@ -101,6 +102,36 @@ def test_tiling_base_greedy_on_non_product_orbit():
     rep = verify_tower(Tower.over(f, t, w), f)
     assert rep.disjoint
     assert rep.coverage >= Fraction(2, 3)
+
+
+def _tori(*shapes) -> FactorAction:
+    """Rank-2 factor on tori of the given shapes side by side, generator d
+    shifting coordinate d: every orbit is a product of its generator cycles."""
+    gens = [[], []]
+    start = 0
+    for dims in shapes:
+        coords = np.indices(dims).reshape(2, -1)
+        for d, gen in enumerate(gens):
+            moved = coords.copy()
+            moved[d] = (moved[d] + 1) % dims[d]
+            gen.append(start + np.ravel_multi_index(tuple(moved), dims))
+        start += coords.shape[1]
+    sp = FiniteSpace(start)
+    return FactorAction(AbelianGroupSpec(2), sp,
+                        tuple(Permutation(sp, np.concatenate(g)) for g in gens))
+
+
+def test_tiling_base_sweeps_no_aligned_orbit(monkeypatch):
+    # a 4 x 4 box packs the 8 x 8 torus and fits no copy into the 2 x 40
+    # one, whose tile images wrap along the first axis: with no unaligned
+    # orbit there is nothing to sweep, so a zero sweep budget refuses nothing
+    monkeypatch.setattr(rohlin, "GREEDY_COST_CAP", 0)
+    t = box_tile(AbelianGroupSpec(2), [0, 0], [3, 3])
+    tower = tiling_base(_tori((8, 8), (2, 40)), t)
+    assert tower.base.tolist() == [0, 4, 32, 36]
+    assert tower_support(tower, 144)
+    # an empty base gives an empty tower
+    assert tiling_base(_tori((2, 40)), t).levels.shape == (16, 0)
 
 
 def test_rohlin_avoiding_no_avoidance(z12):
