@@ -23,13 +23,16 @@ weakly close to ``beta`` on a requested family of group elements and sets:
 Every bound a stage accepts its decision by is stated once, in ``certify``,
 and called as that stage's acceptance test; a violation raises its error.
 
-The tile search reads each factor's orbits as ``rohlin.orbit_alignment``
-gives them, grouped by shape into C x d_0 x ... x d_{m-1} point arrays: the
-candidate sides come from the shapes' dimensions, the coverage prefilter
-counts boxes per shape, and the good-set evaluator turns each shape into one
-``_OrbitBlock`` of prefix sums that ``actions._slide`` reads.  A factor with
-an orbit that is not a product of its generator cycles is one ``_PointBlock``,
-read the same way but in point order.  The rewiring reads the columns'
+Each factor's tower pair is two steps: ``tile_search`` yields the box tiles
+that are invariant and good on both actions, and ``build_pair`` erects and
+certifies the towers over one of them.  The search reads each factor's
+orbits as ``rohlin.orbit_alignment`` gives them, grouped by shape into
+C x d_0 x ... x d_{m-1} point arrays: the candidate sides come from the
+shapes' dimensions, the coverage prefilter counts boxes per shape, and the
+good-set evaluator turns each shape into one ``_OrbitBlock`` of prefix sums
+that ``actions._slide`` reads.  A factor with an orbit that is not a product
+of its generator cycles is one ``_PointBlock``, read the same way but in
+point order.  The rewiring reads the columns'
 levels (``ColumnData``), and the budget takes S_i of them as gamma_i's: no
 rewired action is built.
 """
@@ -37,6 +40,7 @@ rewired action is built.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -62,7 +66,7 @@ from .errors import (
 )
 from .goodpart import _check_exact_range, _orbit_counts, good_partition
 from .groups import DEFAULT_TILE_CAP, AbelianElement, FreeWord, Tile, box_tile
-from .rohlin import Tower, max_aligned_coverage, orbit_alignment, rohlin_avoiding
+from .rohlin import Tower, max_coverage, orbit_alignment, rohlin_avoiding
 from .space import (
     MAX_GENERATING_SETS,
     Labeling,
@@ -290,96 +294,62 @@ def equalize_bases(tw_a: Tower, tw_b: Tower) -> tuple[Tower, Tower]:
     return tw_a.trimmed(size), tw_b.trimmed(size)
 
 
-def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
-               window: Sequence[AbelianElement], eps_prime, *,
-               tile_cap: int = DEFAULT_TILE_CAP) -> TowerPairResult:
-    """Matching Rohlin towers for both actions over one good box tile.
+def _divisors(m: int) -> list[int]:
+    small = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return small + [m // d for d in small]
 
-    Tries the tiles [0, s-1]^rank x full torsion for the sides s of
-    ``candidate_sides`` in increasing order, and takes the first that is
-    window-invariant within eps', has more than 1/eps' elements, passes the
-    coverage prefilter above 1 - 4*eps' on both actions, has good sets of
-    mass above 1 - 2*eps' on both, and clears the Rohlin stage; a smaller
-    side outside the candidates may pass all of these and is never tried.
-    The towers avoid the union of bad points and get equal base sizes by
-    trimming.
-    Every bound is ``certify``'s: the size and invariance are its family 2,
-    the evaluator's threshold its family 3, and ``rohlin_avoiding``'s tiling
-    floor and ``certify_pair`` on the trimmed towers its family 4.  On a
-    small model with unaligned orbits, where candidates may skip the
-    coverage prefilter, a side whose towers fall short of their coverage
-    floor (``CoverageBelowFloor``) is passed over; elsewhere that shortfall
-    ends the search, as every other error of the Rohlin stage does.
-    """
-    eps = exact_fraction(eps_prime)
-    if alpha_i.spec != beta_i.spec:
-        raise SpecMismatch("tower_pair needs actions of the same factor group")
+
+def candidate_sides(alpha_i: FactorAction, beta_i: FactorAction, eps: Fraction) -> list[int]:
+    """The box sides the tile search tries, in increasing order: [1] at rank
+    0, else the divisors s >= 2 of each length, which pack it without a gap,
+    and the sides above 1 - 4 eps' of it (the tiling floor), one box of which
+    covers that much.  The lengths are both actions' aligned free dimensions
+    and unaligned orbit sizes.  Gapped packings are left out."""
+    r = alpha_i.spec.rank
+    if r == 0:
+        return [1]
+    floor_w = certify.tiling_floor(certify.tower_mass(eps))
+    lengths: set[int] = set()
+    for f in (alpha_i, beta_i):
+        alignment = orbit_alignment(f)
+        for shape in alignment.shapes:
+            lengths.update(shape.dims[:r])
+        lengths.update(f.orbits().sizes[alignment.unaligned].tolist())
+    cand: set[int] = set()
+    for length in lengths:
+        cand.update(s for s in _divisors(length) if s >= 2)
+        cand.update(range(max(2, int(floor_w * length) + 1), length + 1))
+    return sorted(cand)
+
+
+def tile_search(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
+                window: Sequence[AbelianElement], eps: Fraction, tile_cap: int):
+    """Yields (side, tile, (good_a, mass_a), (good_b, mass_b)), each action's
+    good-set mask and mass, for the tiles [0, s-1]^rank x full torsion over
+    the sides s of ``candidate_sides`` in increasing order, up to the first
+    over ``tile_cap``, that have more than 1/eps' elements, are
+    window-invariant within eps' (``certify``'s family 2), pass the coverage
+    prefilter (``rohlin.max_coverage`` above family 4's tiling floor
+    1 - 4 eps' on both actions) and have good sets of mass above 1 - 2 eps'
+    on both (family 3).  A side outside the candidates is never tried."""
     spec = alpha_i.spec
     r = spec.rank
-    torsion_size = 1
-    for c in spec.torsion_moduli:
-        torsion_size *= c
-    rohlin_eps = certify.tower_mass(eps)
-    floor_w = certify.tiling_floor(rohlin_eps)
+    torsion_size = math.prod(spec.torsion_moduli)
+    floor_w = certify.tiling_floor(certify.tower_mass(eps))
     min_size = certify.min_tile_size(eps)
-    n = alpha_i.space.n_points
-
-    def _divisors(m: int) -> list[int]:
-        out = []
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                out.append(d)
-                out.append(m // d)
-            d += 1
-        return out
-
-    def candidate_sides() -> list[int]:
-        """The sides the search tries: the divisors s >= 2 of each length,
-        which pack it without a gap, and the sides above 1 - 4*eps' of it,
-        one box of which covers that much.  The lengths are both actions'
-        aligned free dimensions and unaligned orbit sizes.  Sides that pass
-        the coverage prefilter by packing boxes with gaps are left out."""
-        lengths: set[int] = set()
-        for f in (alpha_i, beta_i):
-            alignment = orbit_alignment(f)
-            for shape in alignment.shapes:
-                lengths.update(shape.dims[:r])
-            lengths.update(f.orbits().sizes[alignment.unaligned].tolist())
-        cand: set[int] = set()
-        for length in lengths:
-            cand.update(s for s in _divisors(length) if s >= 2)
-            lo_band = max(2, int(floor_w * length) + 1)
-            cand.update(range(lo_band, length + 1))
-        return sorted(cand)
-
-    if r == 0:
-        side_candidates: Sequence[int] = (1,)
-        s_limit = 1
-    else:
-        side_candidates = candidate_sides()
-        s_limit = side_candidates[-1] if side_candidates else 0
-
-    # the aligned-coverage prefilter is exact unless some orbit lacks product
-    # structure; only then may a small model fall through to the greedy sweep
-    has_unaligned = any(orbit_alignment(f).unaligned.size for f in (alpha_i, beta_i))
-    small_model = has_unaligned and n * torsion_size <= 2_000_000
-
+    sides = candidate_sides(alpha_i, beta_i, eps)
     eval_a = _GoodSetEvaluator(alpha_i, phi, eps, "rewired")
     eval_b = _GoodSetEvaluator(beta_i, phi, eps, "target")
-
-    for side in side_candidates:
+    for side in sides:
         size = (side ** r) * torsion_size
         if size > tile_cap:
-            break
+            return
         if size < min_size:
             continue
         tile = box_tile(spec, (0,) * r, (side - 1,) * r, cap=tile_cap)
         if not certify.invariant(tile, window, eps):
             continue
-        cov_a = max_aligned_coverage(alpha_i, tile.sides, size)
-        cov_b = max_aligned_coverage(beta_i, tile.sides, size)
-        if (cov_a <= floor_w or cov_b <= floor_w) and not small_model:
+        if min(max_coverage(alpha_i, tile), max_coverage(beta_i, tile)) <= floor_w:
             continue
         res_a = eval_a.evaluate(tile)
         if res_a is None:
@@ -387,19 +357,42 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
         res_b = eval_b.evaluate(tile)
         if res_b is None:
             continue
-        ga, mass_a = res_a
-        gb, mass_b = res_b
+        yield side, tile, res_a, res_b
+
+
+def build_pair(alpha_i: FactorAction, beta_i: FactorAction, tile: Tile, avoid: PointSet,
+               eps: Fraction) -> tuple[Tower, Tower, tuple[Fraction, Fraction]]:
+    """Rohlin towers of ``tile`` for both actions with bases that miss
+    ``avoid``, trimmed to equal base sizes, and their coverages, which
+    ``certify.certify_pair`` holds above 1 - 8 eps' (family 4).  It needs no
+    search: a run's tile and avoidance set rebuild its towers."""
+    rohlin_eps = certify.tower_mass(eps)
+    tw_a = rohlin_avoiding(alpha_i, tile, rohlin_eps, avoid)
+    tw_b = rohlin_avoiding(beta_i, tile, rohlin_eps, avoid)
+    tw_a, tw_b = equalize_bases(tw_a, tw_b)
+    return tw_a, tw_b, certify.certify_pair(tw_a, tw_b, avoid, rohlin_eps)
+
+
+def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
+               window: Sequence[AbelianElement], eps_prime, *,
+               tile_cap: int = DEFAULT_TILE_CAP) -> TowerPairResult:
+    """Matching Rohlin towers for both actions over one good box tile: the
+    first tile of ``tile_search`` whose towers ``build_pair`` certifies,
+    avoiding both actions' bad points.  The coverage prefilter is exact when
+    every orbit is aligned, and there a ``CoverageBelowFloor`` ends the
+    search like every other error of the Rohlin stage; with an unaligned
+    orbit it is an upper bound, and a side that falls short is passed over.
+    """
+    eps = exact_fraction(eps_prime)
+    if alpha_i.spec != beta_i.spec:
+        raise SpecMismatch("tower_pair needs actions of the same factor group")
+    for side, tile, (ga, mass_a), (gb, mass_b) in tile_search(alpha_i, beta_i, phi, window,
+                                                              eps, tile_cap):
         avoid = PointSet(alpha_i.space, ~(ga & gb))
         try:
-            tw_a = rohlin_avoiding(alpha_i, tile, rohlin_eps, avoid)
-            tw_b = rohlin_avoiding(beta_i, tile, rohlin_eps, avoid)
-            tw_a, tw_b = equalize_bases(tw_a, tw_b)
-            coverages = certify.certify_pair(tw_a, tw_b, avoid, rohlin_eps)
+            tw_a, tw_b, (cov_a, cov_b) = build_pair(alpha_i, beta_i, tile, avoid, eps)
         except CoverageBelowFloor:
-            # a small model's candidate may have skipped the coverage
-            # prefilter, so its shortfall rules out only this side; a refused
-            # sweep or overlapping levels still end the search
-            if not small_model:
+            if not any(orbit_alignment(f).unaligned.size for f in (alpha_i, beta_i)):
                 raise
             continue
         return TowerPairResult(
@@ -410,12 +403,13 @@ def tower_pair(alpha_i: FactorAction, beta_i: FactorAction, phi: Labeling,
             good_mass_alpha=mass_a,
             good_mass_beta=mass_b,
             avoid_mass=measure(avoid),
-            coverage_alpha=coverages[0],
-            coverage_beta=coverages[1],
+            coverage_alpha=cov_a,
+            coverage_beta=cov_b,
             base_size=tw_a.base.size,
         )
+    sides = candidate_sides(alpha_i, beta_i, eps)
     raise NoGoodTile(
-        f"no box tile up to side {s_limit} (cap {tile_cap}) satisfies the "
+        f"no box tile up to side {sides[-1] if sides else 0} (cap {tile_cap}) satisfies the "
         f"invariance/size/coverage/goodness thresholds at eps'={eps}; "
         f"every orbit dimension must reach about "
         f"{min_space_estimate(eps, [window])} points"

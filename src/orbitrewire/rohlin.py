@@ -3,9 +3,11 @@
 ``orbit_alignment`` reads a factor's orbits in product coordinates: an orbit
 whose generator cycle lengths d_0, ..., d_{m-1} multiply to its size is the
 product of those cycles, and the orbits of one shape form one
-``OrbitShape``, a C x d_0 x ... x d_{m-1} array of points.  The tiling, the
-coverage prefilter and the tile search (``rewiring._GoodSetEvaluator``) all
-read that one structure, built once per factor.
+``OrbitShape``, a C x d_0 x ... x d_{m-1} array of points.  The tiling and
+the tile search (``rewiring.tile_search``: its coverage prefilter
+``max_coverage`` and its good-set evaluator) all read that one structure,
+built once per factor; the prefilter is exact on aligned orbits and an upper
+bound on the others.
 
 ``tiling_base`` produces a base set W whose tile translates {tW} are pairwise
 disjoint and cover as much of the space as the orbit structure allows.  On
@@ -111,15 +113,19 @@ def orbit_alignment(f: FactorAction) -> Alignment:
     return out
 
 
-def max_aligned_coverage(f: FactorAction, sides: tuple[int, ...], tile_size: int) -> Fraction:
-    """Covered mass the block construction would reach with these box sides.
+def max_coverage(f: FactorAction, t: Tile) -> Fraction:
+    """An upper bound on the mass ``tiling_base`` covers with the box ``t``,
+    exact when every orbit is aligned: the tile search's coverage prefilter.
 
-    Non-aligned orbits are counted as contributing nothing, so this is a
-    lower bound on what ``tiling_base`` achieves and is cheap enough to use
-    as a tile-search prefilter.
+    An aligned orbit holds exactly the boxes its shape packs.  On an unaligned
+    orbit of L points the sweep's tile images are pairwise disjoint sets of
+    |T| points, so at most floor(L/|T|) of them fit.
     """
-    boxes = sum(len(s.orbits) * s.boxes(sides) for s in orbit_alignment(f).shapes)
-    return Fraction(boxes * tile_size, f.space.n_points)
+    alignment = orbit_alignment(f)
+    boxes = sum(len(s.orbits) * s.boxes(t.sides) for s in alignment.shapes)
+    if alignment.unaligned.size:  # the search calls this per candidate; skip the gather
+        boxes += int((f.orbits().sizes[alignment.unaligned] // t.size).sum())
+    return Fraction(boxes * t.size, f.space.n_points)
 
 
 def _greedy_base_points(f: FactorAction, t: Tile, sweep: np.ndarray) -> list[int]:
@@ -231,7 +237,7 @@ def rohlin_avoiding(f: FactorAction, t: Tile, eps, avoid: PointSet) -> Tower:
     shifts W by the tile element whose level meets ``avoid`` least (first
     minimizer in canonical tile order), which is that level of W's tower,
     and removes the leftover intersection.  ``certify.certify_pair`` holds
-    the coverage and the base of both towers ``tower_pair`` builds.
+    the coverage and the base of both towers ``rewiring.build_pair`` builds.
     """
     eps = exact_fraction(eps)
     if measure(avoid) >= eps / 2:
@@ -251,16 +257,13 @@ def rohlin_avoiding(f: FactorAction, t: Tile, eps, avoid: PointSet) -> Tower:
 
 
 def verify_tower(tw: Tower, f: FactorAction, avoid: PointSet | None = None) -> TowerReport:
-    """Re-check disjointness, coverage, and (optionally) avoidance."""
-    levels = f.tile_images(tw.tile, tw.base)
-    support = np.zeros(f.space.n_points, dtype=bool)
-    support[levels] = True
-    covered = int(np.count_nonzero(support))
-    avoid_clear = None
-    if avoid is not None:
-        avoid_clear = not avoid.mask[tw.base].any()
+    """Re-check a tower on levels rebuilt from its base by ``tile_images``:
+    disjointness by ``tower_support``, the coverage |T||B|/N that
+    ``certify.coverage`` reads (the covered mass when the levels are
+    disjoint), and (optionally) that the base misses ``avoid``."""
+    rebuilt = Tower.over(f, tw.tile, tw.base)
     return TowerReport(
-        disjoint=covered == levels.size,
-        coverage=Fraction(covered, f.space.n_points),
-        avoid_clear=avoid_clear,
+        disjoint=tower_support(rebuilt, f.space.n_points),
+        coverage=Fraction(rebuilt.levels.size, f.space.n_points),
+        avoid_clear=None if avoid is None else not avoid.mask[tw.base].any(),
     )

@@ -20,7 +20,8 @@ holding an aligned torus, an unaligned orbit and a torus too small for most
 tiles.  Tiles have negative lows and may reach past an orbit dimension, so
 windows wrap whole laps along every axis.  An aligned factor read as one
 ``_PointBlock``, the point-order block, must also agree with its orbit
-blocks.
+blocks.  The tile search's candidate sides and its coverage prefilter are
+checked against the per-orbit oracle too.
 """
 
 from fractions import Fraction
@@ -40,11 +41,10 @@ from orbitrewire import (
     PointSet,
     box_tile,
 )
-from orbitrewire import rewiring
+from orbitrewire import certify, rewiring
 from orbitrewire.errors import TileTooLarge
-from orbitrewire.rewiring import _GoodSetEvaluator, _PointBlock
-from orbitrewire.rohlin import (Alignment, max_aligned_coverage, orbit_alignment, tiling_base,
-                                tower_support)
+from orbitrewire.rewiring import _GoodSetEvaluator, _PointBlock, candidate_sides
+from orbitrewire.rohlin import Alignment, max_coverage, orbit_alignment, tiling_base, tower_support
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -486,11 +486,16 @@ def _assert_tiling_matches_loop(data, f):
     assert tower.base.tolist() == tiling_base_loop(f, tile).tolist()
     assert np.array_equal(tower.levels, f.tile_images(tile, tower.base))
     assert tower_support(tower, f.space.n_points)
-    coverage = max_aligned_coverage(f, tile.sides, tile.size)
-    if orbit_alignment(f).unaligned.size:
-        assert Fraction(tower.levels.size, f.space.n_points) >= coverage
-    else:
-        assert Fraction(tower.levels.size, f.space.n_points) == coverage
+    # the prefilter bounds the coverage from above, exactly when every orbit
+    # is aligned, and the aligned shapes' boxes bound it from below
+    n = f.space.n_points
+    covered = Fraction(tower.levels.size, n)
+    alignment = orbit_alignment(f)
+    assert covered <= max_coverage(f, tile)
+    if not alignment.unaligned.size:
+        assert covered == max_coverage(f, tile)
+    boxes = sum(len(s.orbits) * s.boxes(tile.sides) for s in alignment.shapes)
+    assert covered >= Fraction(boxes * tile.size, n)
 
 
 @SETTINGS
@@ -505,6 +510,44 @@ def test_shape_blocks_match_per_orbit_loop(data):
 def test_tiling_base_matches_per_orbit_packing(data):
     factors = data.draw(st.sampled_from((single_generator_factors, grid_factors)))
     _assert_tiling_matches_loop(data, data.draw(factors()))
+
+
+def _partner(f: FactorAction) -> FactorAction:
+    """An action of f's group on f's space: every free generator one
+    rotation, every torsion generator the identity, so its orbits are that
+    rotation's cycles and, at rank 2 or in a torsion group, unaligned."""
+    n = f.space.n_points
+    r = f.spec.rank
+    step = 1 + n // 3
+    gens = [(np.arange(n) + step) % n] * r + [np.arange(n)] * len(f.spec.torsion_moduli)
+    return _action(f.spec, gens)
+
+
+@SETTINGS
+@given(st.data())
+def test_candidate_sides_match_brute_force(data):
+    # every s >= 2 that divides some length, or exceeds the tiling floor's
+    # share of it and still fits; the lengths are both actions' aligned free
+    # dimensions and unaligned orbit sizes, read off the per-orbit oracle
+    f = data.draw(st.sampled_from((single_generator_factors, grid_factors)).flatmap(
+        lambda factors: factors()))
+    g = data.draw(st.sampled_from((f, _partner(f))))
+    eps = data.draw(EPS)
+    got = candidate_sides(f, g, eps)
+    assert got == sorted(set(got))
+    r = f.spec.rank
+    if r == 0:
+        assert got == [1]
+        return
+    floor = certify.tiling_floor(8 * eps)
+    lengths = set()
+    for h in (f, g):
+        for orbit, dims, _ in orbit_alignment_loop(h):
+            lengths.update((len(orbit),) if dims is None else dims[:r])
+    want = [s for s in range(2, max(lengths) + 1)
+            if any(s <= length and (length % s == 0 or s > floor * length)
+                   for length in lengths)]
+    assert got == want
 
 
 @SETTINGS

@@ -48,6 +48,7 @@ from orbitrewire.rewiring import (
     OEWitness,
     _full_partition_check,
     _GoodSetEvaluator,
+    build_pair,
     equalize_bases,
 )
 from orbitrewire.rohlin import Tower
@@ -153,7 +154,7 @@ def _lattice_factor(sp: FiniteSpace, k: int) -> FactorAction:
 
 def _lattice_pair():
     """Two 1600-point Z^2 lattices (steps 31 and 61), their window and the
-    partition a parity set generates: a small model with unaligned orbits."""
+    partition a parity set generates: factors with unaligned orbits."""
     sp = FiniteSpace(1600)
     alpha_f, beta_f = _lattice_factor(sp, 31), _lattice_factor(sp, 61)
     window = [AbelianGroupSpec(2).generator(d) for d in range(2)]
@@ -163,10 +164,10 @@ def _lattice_pair():
     return alpha_f, beta_f, phi, window
 
 
-def test_tower_pair_small_model_moves_past_a_coverage_shortfall(monkeypatch):
-    # the orbit is unaligned, so candidates skip the coverage prefilter; the
-    # tiling of the first one that reaches the towers falls short, and the
-    # search must go on to the next side instead of ending
+def test_tower_pair_unaligned_factor_moves_past_a_coverage_shortfall(monkeypatch):
+    # the orbit is unaligned, so the coverage prefilter is only an upper
+    # bound; the tiling of the first side that reaches the towers falls
+    # short, and the search must go on to the next side instead of ending
     alpha_f, beta_f, phi, window = _lattice_pair()
     shortfalls = []
     rohlin_avoiding = rewiring.rohlin_avoiding
@@ -197,7 +198,7 @@ def test_tower_pair_aligned_coverage_shortfall_still_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("fault", ["overlap", "sweep_refused"])
-def test_tower_pair_small_model_raises_other_rohlin_shortfalls(monkeypatch, fault):
+def test_tower_pair_unaligned_factor_raises_other_rohlin_shortfalls(monkeypatch, fault):
     # only a coverage floor rules out a side; overlapping levels and a
     # refused greedy sweep end the search with their own cause
     alpha_f, beta_f, phi, window = _lattice_pair()
@@ -243,6 +244,47 @@ def test_tower_pair_bases_meet_the_window_bound(pair, eps):
             counts[np.arange(base.size), phi.codes[image]] += 1
         assert np.all(np.abs(counts * n - cell * tsz) * eps.denominator
                       <= 3 * eps.numerator * tsz * n)
+
+
+@pytest.mark.parametrize("pair, eps", [(_lattice_pair, Fraction(1, 8)),
+                                       (_rotation_pair_with_an_off_orbit, Fraction(1, 16))])
+def test_build_pair_rebuilds_the_towers_of_a_tile_without_the_search(pair, eps):
+    # the tile and the avoidance set its two evaluators give are all that
+    # build_pair needs to rebuild and certify the pair the search found
+    alpha_f, beta_f, phi, window = pair()
+    res = tower_pair(alpha_f, beta_f, phi, window, eps)
+    good_a, _ = _GoodSetEvaluator(alpha_f, phi, eps, "rewired").evaluate(res.tile)
+    good_b, _ = _GoodSetEvaluator(beta_f, phi, eps, "target").evaluate(res.tile)
+    avoid = PointSet(phi.space, ~(good_a & good_b))
+    tw_a, tw_b, coverages = build_pair(alpha_f, beta_f, res.tile, avoid, eps)
+    assert np.array_equal(tw_a.levels, res.tower_alpha.levels)
+    assert np.array_equal(tw_b.levels, res.tower_beta.levels)
+    assert coverages == (res.coverage_alpha, res.coverage_beta)
+    assert tw_a.base.size == tw_b.base.size == res.base_size
+
+
+def test_tower_pair_certifies_an_unaligned_torsion_factor_of_any_size():
+    # Z x Z/125 acting on Z/20000 by x + k and x + 160: one orbit, which is no
+    # product of its 20000- and 125-cycles.  The coverage prefilter bounds it
+    # by floor(20000 / |T|) tiles, so the search reaches side 9 at any N times
+    # torsion size (here 2.5e6)
+    n, m = 20_000, 125
+    sp = FiniteSpace(n)
+    x = np.arange(n)
+    spec = AbelianGroupSpec(1, (m,))
+
+    def factor(k):
+        return FactorAction(spec, sp, (Permutation(sp, (x + k) % n),
+                                       Permutation(sp, (x + n // m) % n)))
+
+    alpha_f, beta_f = factor(1), factor(7)
+    window = [spec.generator(d) for d in range(2)]
+    evens = PointSet(sp, x % 2 == 0)
+    phi = generated_partition(sp, [evens] + [beta_f.element_image_set(g, evens)
+                                             for g in window])
+    res = tower_pair(alpha_f, beta_f, phi, window, Fraction(1, 4))
+    assert (res.side, res.tile.size, res.base_size) == (9, 1125, 14)
+    assert res.coverage_alpha == res.coverage_beta == Fraction(63, 80)
 
 
 def test_equalize_bases_trims_highest_indices():

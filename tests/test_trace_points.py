@@ -1,7 +1,8 @@
 """The benchmark's stage trace (``perfbench/stagetrace.py``) wraps package
 attributes by name, and an attribute that a refactor renames or removes
-makes its per-layer metric read 0 without an error.  This test fails
-instead: every ``(owner, attribute)`` the trace names must still exist.
+makes its per-layer metric read 0 without an error.  These tests fail
+instead: every ``(owner, attribute)`` the trace names must still exist, and
+the spans a derived metric reads must keep their parents.
 """
 
 import importlib.util
@@ -9,6 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_golden import CONFIGS
+
+from orbitrewire.config import RunConfig
+from orbitrewire.runner import execute
 
 STAGETRACE = Path(__file__).resolve().parent.parent / "perfbench" / "stagetrace.py"
 
@@ -31,3 +36,18 @@ def test_every_trace_point_exists(stagetrace):
             if attr not in owner.__dict__]
     assert not gone, "trace points without an attribute: " + ", ".join(gone)
 
+
+
+def test_tile_candidates_are_box_tiles_of_tower_pair(stagetrace):
+    # ``rewiring.tile_candidates`` counts the box_tile spans whose parent is
+    # tower_pair: a search run outside tower_pair would make it read 0
+    recorder = stagetrace.Recorder()
+    recorder.install()
+    try:
+        execute(RunConfig.from_dict({**CONFIGS["rot-degenerate"], "seed": 3}))
+    finally:
+        recorder.uninstall()
+    spans = recorder.spans
+    parents = [spans[s.parent].name if s.parent >= 0 else None
+               for s in spans if s.name == "groups.box_tile"]
+    assert parents and set(parents) == {"rewiring.tower_pair"}
